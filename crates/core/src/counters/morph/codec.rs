@@ -13,8 +13,11 @@
 //!
 //! Every layout is exactly 512 bits.
 
-use super::super::bits::{get_bits, set_bits};
-use super::{zcc_width, MorphFormat, MorphLine, MorphMode, MORPH_ARITY};
+use super::super::bits::{BitReader, BitWriter};
+use super::{
+    zcc_width, MorphFormat, MorphLine, MorphMode, MCR_BASE_BITS, MCR_MAJOR_BITS, MORPH_ARITY,
+    ZCC_MAJOR_BITS,
+};
 use crate::error::CodecError;
 use crate::{CACHELINE_BITS, CACHELINE_BYTES, LINE_MAC_BITS};
 
@@ -24,66 +27,104 @@ const MAC_OFFSET: usize = CACHELINE_BITS - LINE_MAC_BITS;
 /// (`zcc_width` never yields 3, so the encoding is unambiguous).
 const UNIFORM_CTR_SZ: u64 = 3;
 
+/// Width of the Uniform / MCR minors.
+const MINOR_BITS: u32 = 3;
+
+/// Most counters a ZCC image packs (`zcc_width` refuses more).
+const ZCC_MAX_PACKED: usize = 64;
+
+/// The ZCC bit-vector: bit `s % 64` of word `s / 64` is set iff slot `s`
+/// is non-zero.
+fn nonzero_bitvec(values: &[u16; MORPH_ARITY]) -> [u64; 2] {
+    // One 0/1 byte per slot (a compare the compiler vectorizes), then each
+    // run of eight bytes gathered into one bit-vector byte by a multiply:
+    // byte `i` of the run lands on bit `56 + i`, with no carries between
+    // the partial products.
+    let flags: [u8; MORPH_ARITY] = std::array::from_fn(|slot| u8::from(values[slot] != 0));
+    let mut bitvec = [0u64; 2];
+    for (word, half) in bitvec.iter_mut().zip(flags.chunks_exact(64)) {
+        for (k, run) in half.as_chunks::<8>().0.iter().enumerate() {
+            let bytes = u64::from_le_bytes(*run);
+            *word |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+        }
+    }
+    bitvec
+}
+
+/// The slots marked in a ZCC bit-vector, in ascending order.
+struct MarkedSlots([u64; 2]);
+
+impl Iterator for MarkedSlots {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let half = usize::from(self.0[0] == 0);
+        let word = self.0.get_mut(half).filter(|word| **word != 0)?;
+        let slot = half * 64 + word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        Some(slot)
+    }
+}
+
 /// Encodes `line` into its 64-byte image. When `with_mac` is false the MAC
 /// field is left zero (the byte string a MAC is computed over).
 pub fn encode(line: &MorphLine, with_mac: bool) -> [u8; CACHELINE_BYTES] {
-    let mut image = [0u8; CACHELINE_BYTES];
+    let mut w = BitWriter::new();
     match line.format {
         MorphFormat::Zcc => {
-            let nonzero = line.values.iter().filter(|&&v| v != 0).count();
+            let bitvec = nonzero_bitvec(&line.values);
+            let nonzero = (bitvec[0].count_ones() + bitvec[1].count_ones()) as usize;
             let Some(width) = zcc_width(nonzero) else {
                 // The ZCC format invariant (at most 64 non-zero minors) is
                 // maintained by every increment path; encoding a violating
                 // line must fail loudly, not emit a corrupt image.
                 panic!("ZCC line with {nonzero} non-zero minors cannot be encoded");
             };
-            let width = width as usize;
-            set_bits(&mut image, 0, 1, 0);
-            set_bits(&mut image, 1, 6, width as u64);
-            assert!(line.major < 1 << 57, "ZCC major exceeds 57 bits");
-            set_bits(&mut image, 7, 57, line.major);
-            // Bit-vector of non-zero slots.
-            for (slot, &v) in line.values.iter().enumerate() {
-                if v != 0 {
-                    set_bits(&mut image, 64 + slot, 1, 1);
-                }
-            }
+            assert!(line.major < 1 << ZCC_MAJOR_BITS, "ZCC major exceeds 57 bits");
+            w.write(1, 0);
+            w.write(6, u64::from(width));
+            w.write(ZCC_MAJOR_BITS, line.major);
+            w.write(64, bitvec[0]);
+            w.write(64, bitvec[1]);
             // Non-zero counters packed in slot order.
-            let mut bit = 192;
-            for &v in line.values.iter().filter(|&&v| v != 0) {
-                set_bits(&mut image, bit, width, v as u64);
-                bit += width;
+            let mut packed = [0u16; ZCC_MAX_PACKED];
+            for (dst, slot) in packed.iter_mut().zip(MarkedSlots(bitvec)) {
+                *dst = line.values[slot];
             }
-            debug_assert!(bit <= 448, "value field overran: {bit}");
+            w.write_all(width, &packed[..nonzero]);
+            debug_assert!(w.position() <= MAC_OFFSET, "value field overran: {}", w.position());
         }
         MorphFormat::Uniform => {
-            set_bits(&mut image, 0, 1, 0);
-            set_bits(&mut image, 1, 6, UNIFORM_CTR_SZ);
-            assert!(line.major < 1 << 57, "uniform major exceeds 57 bits");
-            set_bits(&mut image, 7, 57, line.major);
-            for (slot, &v) in line.values.iter().enumerate() {
-                set_bits(&mut image, 64 + 3 * slot, 3, v as u64);
-            }
+            assert!(line.major < 1 << ZCC_MAJOR_BITS, "uniform major exceeds 57 bits");
+            w.write(1, 0);
+            w.write(6, UNIFORM_CTR_SZ);
+            w.write(ZCC_MAJOR_BITS, line.major);
+            w.write_all(MINOR_BITS, &line.values[..]);
         }
         MorphFormat::Mcr => {
-            set_bits(&mut image, 0, 1, 1);
-            assert!(line.major < 1 << 49, "MCR major exceeds 49 bits");
-            set_bits(&mut image, 1, 49, line.major);
-            set_bits(&mut image, 50, 7, line.bases[0]);
-            set_bits(&mut image, 57, 7, line.bases[1]);
-            for (slot, &v) in line.values.iter().enumerate() {
-                set_bits(&mut image, 64 + 3 * slot, 3, v as u64);
-            }
+            assert!(line.major < 1 << MCR_MAJOR_BITS, "MCR major exceeds 49 bits");
+            w.write(1, 1);
+            w.write(MCR_MAJOR_BITS, line.major);
+            w.write(MCR_BASE_BITS, line.bases[0]);
+            w.write(MCR_BASE_BITS, line.bases[1]);
+            w.write_all(MINOR_BITS, &line.values[..]);
         }
     }
     if with_mac {
-        set_bits(&mut image, MAC_OFFSET, LINE_MAC_BITS, line.mac);
+        w.skip_to(MAC_OFFSET);
+        w.write(LINE_MAC_BITS as u32, line.mac);
     }
-    image
+    w.finish()
 }
 
 /// Decodes a 64-byte image back into a line (the `mode` is configuration,
 /// not stored in the image).
+///
+/// Decoding is canonical: an image is accepted only if [`encode`] of the
+/// decoded line gives back the same bytes. Uniform and MCR use every body
+/// bit, so only ZCC needs checks beyond its `ctr-sz`: each slot marked in
+/// the bit-vector must hold a non-zero value, and the value bits past the
+/// last packed counter must be zero.
 ///
 /// # Errors
 ///
@@ -94,43 +135,54 @@ pub fn encode(line: &MorphLine, with_mac: bool) -> [u8; CACHELINE_BYTES] {
 /// rot, or tampering below the MAC layer.
 pub fn decode(mode: MorphMode, image: &[u8; CACHELINE_BYTES]) -> Result<MorphLine, CodecError> {
     let mut line = MorphLine::new(mode);
-    line.mac = get_bits(image, MAC_OFFSET, LINE_MAC_BITS);
-    if get_bits(image, 0, 1) == 1 {
+    let mut r = BitReader::new(image);
+    r.seek(MAC_OFFSET);
+    line.mac = r.read(LINE_MAC_BITS as u32);
+    r.seek(0);
+    if r.read(1) == 1 {
         line.format = MorphFormat::Mcr;
-        line.major = get_bits(image, 1, 49);
-        line.bases = [get_bits(image, 50, 7), get_bits(image, 57, 7)];
-        for slot in 0..MORPH_ARITY {
-            line.values[slot] = get_bits(image, 64 + 3 * slot, 3) as u16;
-        }
+        line.major = r.read(MCR_MAJOR_BITS);
+        line.bases = [r.read(MCR_BASE_BITS), r.read(MCR_BASE_BITS)];
+        read_minors(&mut r, &mut line);
         return Ok(line);
     }
-    let ctr_sz = get_bits(image, 1, 6);
-    line.major = get_bits(image, 7, 57);
+    let ctr_sz = r.read(6);
+    line.major = r.read(ZCC_MAJOR_BITS);
     if ctr_sz == UNIFORM_CTR_SZ {
         line.format = MorphFormat::Uniform;
-        for slot in 0..MORPH_ARITY {
-            line.values[slot] = get_bits(image, 64 + 3 * slot, 3) as u16;
-        }
+        read_minors(&mut r, &mut line);
         return Ok(line);
     }
     line.format = MorphFormat::Zcc;
-    let mut nonzero_slots = Vec::new();
-    for slot in 0..MORPH_ARITY {
-        if get_bits(image, 64 + slot, 1) == 1 {
-            nonzero_slots.push(slot);
+    let bitvec = [r.read(64), r.read(64)];
+    let nonzero = (bitvec[0].count_ones() + bitvec[1].count_ones()) as usize;
+    let width = zcc_width(nonzero).ok_or(CodecError::TooManyNonZero { nonzero })?;
+    if u64::from(width) != ctr_sz {
+        return Err(CodecError::CtrSizeMismatch { stored: ctr_sz, derived: u64::from(width) });
+    }
+    let start = r.position();
+    let mut packed = [0u64; ZCC_MAX_PACKED];
+    r.read_all(width, &mut packed[..nonzero]);
+    for (i, (slot, &value)) in MarkedSlots(bitvec).zip(&packed[..nonzero]).enumerate() {
+        if value == 0 {
+            let bit = start + i * width as usize;
+            return Err(CodecError::NonCanonical { bit });
         }
+        line.values[slot] = value as u16;
     }
-    let width = zcc_width(nonzero_slots.len())
-        .ok_or(CodecError::TooManyNonZero { nonzero: nonzero_slots.len() })? as usize;
-    if width as u64 != ctr_sz {
-        return Err(CodecError::CtrSizeMismatch { stored: ctr_sz, derived: width as u64 });
-    }
-    let mut bit = 192;
-    for slot in nonzero_slots {
-        line.values[slot] = get_bits(image, bit, width) as u16;
-        bit += width;
+    if let Some(bit) = r.first_one_before(MAC_OFFSET) {
+        return Err(CodecError::NonCanonical { bit });
     }
     Ok(line)
+}
+
+/// Reads the 128 × 3-bit minors of the Uniform and MCR formats.
+fn read_minors(r: &mut BitReader, line: &mut MorphLine) {
+    let mut fields = [0u64; MORPH_ARITY];
+    r.read_all(MINOR_BITS, &mut fields);
+    for (v, field) in line.values.iter_mut().zip(fields) {
+        *v = field as u16;
+    }
 }
 
 #[cfg(test)]
@@ -201,7 +253,7 @@ mod tests {
 
     #[test]
     fn all_formats_fit_512_bits() {
-        // encode() would panic via set_bits if any field overran the line;
+        // encode() would panic in the bit writer if any field overran the line;
         // drive a line through all three formats to prove the layouts fit.
         let mut line = MorphLine::new(MorphMode::ZccRebase);
         let _ = line.encode();
@@ -249,6 +301,40 @@ mod tests {
         assert_eq!(
             decode(MorphMode::ZccRebase, &image),
             Err(CodecError::TooManyNonZero { nonzero: 65 })
+        );
+    }
+
+    #[test]
+    fn decode_rejects_set_padding_bits() {
+        let mut line = MorphLine::new(MorphMode::ZccRebase);
+        line.increment(0);
+        let mut image = line.encode();
+        // One 16-bit counter fills bits 192..208; bit 300 is padding.
+        crate::counters::bits::set_bits(&mut image, 300, 1, 1);
+        assert_eq!(
+            decode(MorphMode::ZccRebase, &image),
+            Err(CodecError::NonCanonical { bit: 300 })
+        );
+        // The last padding bit, just below the MAC field, counts too.
+        let mut image = line.encode();
+        crate::counters::bits::set_bits(&mut image, MAC_OFFSET - 1, 1, 1);
+        assert_eq!(
+            decode(MorphMode::ZccRebase, &image),
+            Err(CodecError::NonCanonical { bit: MAC_OFFSET - 1 })
+        );
+    }
+
+    #[test]
+    fn decode_rejects_marked_slots_that_pack_zero() {
+        let mut line = MorphLine::new(MorphMode::ZccRebase);
+        line.increment(3);
+        line.increment(9);
+        let mut image = line.encode();
+        // Slot 9's 16-bit value field is the second one, at bit 208.
+        crate::counters::bits::set_bits(&mut image, 208, 16, 0);
+        assert_eq!(
+            decode(MorphMode::ZccRebase, &image),
+            Err(CodecError::NonCanonical { bit: 208 })
         );
     }
 

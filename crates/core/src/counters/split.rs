@@ -7,11 +7,13 @@
 //! incremented and **all** minors reset, changing every child's effective
 //! value — which costs `n` re-encryptions (§II-A2).
 
-use super::bits::{get_bits, set_bits};
+use super::bits::{BitReader, BitWriter};
 use super::{
     CounterLine, IncrementOutcome, LineImage, OverflowEvent, OverflowKind, ReencryptSpan,
 };
 use crate::{CACHELINE_BITS, LINE_MAC_BITS};
+
+const MAC_OFFSET: usize = CACHELINE_BITS - LINE_MAC_BITS;
 
 /// Static shape of a split-counter line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,21 +120,25 @@ impl SplitLine {
         (1u64 << self.config.minor_bits) - 1
     }
 
-    /// Decodes a line from its 64-byte image.
+    /// Decodes a line from its 64-byte image. Every bit of a split layout
+    /// is a field, so any image decodes.
     #[must_use]
     pub fn decode(config: SplitConfig, image: &LineImage) -> Self {
         let mut line = SplitLine::new(config);
-        let mut bit = 0;
-        if config.major_bits > 0 {
-            line.major = get_bits(image, bit, config.major_bits as usize);
-            bit += config.major_bits as usize;
-        }
-        for slot in 0..config.arity {
-            line.minors[slot] = get_bits(image, bit, config.minor_bits as usize);
-            bit += config.minor_bits as usize;
-        }
-        line.mac = get_bits(image, CACHELINE_BITS - LINE_MAC_BITS, LINE_MAC_BITS);
+        let mut r = BitReader::new(image);
+        line.major = r.read(config.major_bits);
+        r.read_all(config.minor_bits, &mut line.minors);
+        r.seek(MAC_OFFSET);
+        line.mac = r.read(LINE_MAC_BITS as u32);
         line
+    }
+
+    /// The major and minors written in layout order (no MAC).
+    fn encode_body(&self) -> BitWriter {
+        let mut w = BitWriter::new();
+        w.write(self.config.major_bits, self.major);
+        w.write_all(self.config.minor_bits, &self.minors);
+        w
     }
 }
 
@@ -178,28 +184,14 @@ impl CounterLine for SplitLine {
     }
 
     fn encode(&self) -> LineImage {
-        let mut image = self.encode_for_mac();
-        set_bits(
-            &mut image,
-            CACHELINE_BITS - LINE_MAC_BITS,
-            LINE_MAC_BITS,
-            self.mac,
-        );
-        image
+        let mut w = self.encode_body();
+        w.skip_to(MAC_OFFSET);
+        w.write(LINE_MAC_BITS as u32, self.mac);
+        w.finish()
     }
 
     fn encode_for_mac(&self) -> LineImage {
-        let mut image = [0u8; crate::CACHELINE_BYTES];
-        let mut bit = 0;
-        if self.config.major_bits > 0 {
-            set_bits(&mut image, bit, self.config.major_bits as usize, self.major);
-            bit += self.config.major_bits as usize;
-        }
-        for &minor in &self.minors {
-            set_bits(&mut image, bit, self.config.minor_bits as usize, minor);
-            bit += self.config.minor_bits as usize;
-        }
-        image
+        self.encode_body().finish()
     }
 }
 

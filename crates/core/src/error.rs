@@ -73,6 +73,15 @@ pub enum CodecError {
         /// The width the bit-vector population implies.
         derived: u64,
     },
+    /// A ZCC image that decodes to a line whose encoding differs from it:
+    /// a slot marked non-zero in the bit-vector packs the value 0, or a
+    /// value bit past the last packed counter is set. Accepting it would
+    /// let two stored images stand for one line.
+    NonCanonical {
+        /// Bit offset of the zero value field or of the first set padding
+        /// bit.
+        bit: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -86,6 +95,9 @@ impl fmt::Display for CodecError {
                     f,
                     "stored ctr-sz {stored} disagrees with bit-vector-derived width {derived}"
                 )
+            }
+            CodecError::NonCanonical { bit } => {
+                write!(f, "ZCC image is not in canonical form at bit {bit}")
             }
         }
     }

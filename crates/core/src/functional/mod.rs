@@ -145,11 +145,6 @@ pub struct SecureMemory {
     /// Count of child re-encryptions performed due to counter overflows
     /// (observable cost, for tests and examples).
     reencryptions: u64,
-    /// Reusable scratch for the pre-increment counter snapshot in
-    /// [`SecureMemory::bump`]: one allocation for the memory's lifetime
-    /// instead of one per counter bump. A frame is always done with the
-    /// scratch before it recurses, so a single buffer suffices.
-    bump_scratch: Vec<u64>,
     /// Crypto-primitive invocation totals. In a `Cell` because the read /
     /// verification path is `&self` but still performs (and must count)
     /// MAC and decryption work.
@@ -187,7 +182,6 @@ impl SecureMemory {
                 .map(|level| PagedStore::new(level.lines))
                 .collect(),
             reencryptions: 0,
-            bump_scratch: Vec::new(),
             crypto: Cell::new(CryptoOps::default()),
             journal: None,
             geometry,
@@ -335,17 +329,13 @@ impl SecureMemory {
         let (line_idx, slot) = self.geometry.parent_of(level, child_idx);
         let arity = self.geometry.levels()[level].arity;
 
-        // Snapshot child counters in case an overflow changes them, reusing
-        // the memory-lifetime scratch buffer (taken out of `self` so the
-        // repair calls below can borrow `self` mutably).
-        let mut old_values = std::mem::take(&mut self.bump_scratch);
-        old_values.clear();
-        {
-            let line = self.line_or_new(level, line_idx);
-            old_values.extend((0..arity).map(|s| line.get(s)));
-        }
-
-        let outcome = self.line_or_new(level, line_idx).increment(slot);
+        // An overflow at level 0 re-encrypts data children under their old
+        // counters, so keep the pre-increment line there. It is read only
+        // when the increment overflows; upper levels re-MAC their children
+        // from the new counters and need no copy.
+        let line = self.line_or_new(level, line_idx);
+        let before = (level == 0).then(|| line.clone());
+        let outcome = line.increment(slot);
 
         if let IncrementOutcome::Overflow(event) = outcome {
             let children_total: u64 = if level == 0 {
@@ -358,8 +348,8 @@ impl SecureMemory {
                 if child >= children_total {
                     break;
                 }
-                if level == 0 {
-                    self.reencrypt_data_child(child, old_values[s]);
+                if let Some(before) = &before {
+                    self.reencrypt_data_child(child, before.get(s));
                 } else {
                     // Child counter line's MAC is keyed by its (changed)
                     // parent counter: recompute it.
@@ -370,9 +360,6 @@ impl SecureMemory {
                 }
             }
         }
-        // This frame is done with the snapshot; hand the buffer back before
-        // recursing so the parent frame reuses the same allocation.
-        self.bump_scratch = old_values;
 
         // Propagate the write upward (replay protection: the parent counter
         // must advance whenever this line changes), then re-MAC this line

@@ -1001,6 +1001,40 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn flipped_zcc_padding_bit_in_a_snapshot_is_refused() {
+        // A one-counter ZCC image packs 16 value bits at 192..208; the rest
+        // of the value field up to the MAC is padding. A decoder that did
+        // not check it rebuilt the same line from the flipped image, and
+        // `verify_all` then MACed the canonical re-encoding, so the flip
+        // went unnoticed.
+        let mut mem = SecureMemory::new(TreeConfig::morphtree(), MIB, KEY);
+        mem.write(3, &[7; CACHELINE_BYTES]);
+        let image = mem.level_stores()[0].get(0).unwrap().encode();
+        let mut snap = save_memory(&mem);
+
+        // Walk the sections to the LEVELS payload, flip bit 300 of the
+        // image inside it, and re-seal the section checksum.
+        let mut at = MAGIC.len() + 4;
+        loop {
+            let tag = u32::from_le_bytes(snap[at..at + 4].try_into().unwrap());
+            let len = u64::from_le_bytes(snap[at + 4..at + 12].try_into().unwrap()) as usize;
+            let payload = at + 12..at + 12 + len;
+            if tag == SEC_LEVELS {
+                let line = snap[payload.clone()].windows(64).position(|w| w == image).unwrap();
+                snap[payload.start + line + 300 / 8] ^= 1 << (300 % 8);
+                let sum = fnv1a(&snap[payload.clone()]);
+                snap[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
+                break;
+            }
+            at = payload.end + 8;
+        }
+        assert_eq!(
+            recover(&snap, &[]).unwrap_err(),
+            RecoveryError::MalformedLine(CodecError::NonCanonical { bit: 300 })
+        );
+    }
+
     fn populated_sharded(shards: usize) -> ShardedMemory {
         let mut memory =
             ShardedMemory::new(TreeConfig::morphtree(), MIB, KEY, shards).unwrap();
