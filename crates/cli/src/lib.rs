@@ -200,57 +200,6 @@ impl Flags {
     }
 }
 
-/// Applies the `--crypto-backend` flag process-wide and returns the
-/// backend every subsequently constructed cipher will use. `auto` (the
-/// default) restores runtime detection; a named backend is validated
-/// against the CPU before being forced, so an impossible request fails
-/// here with the probed feature list instead of panicking mid-benchmark.
-///
-/// # Errors
-///
-/// Errors on unknown backend names and on backends the CPU cannot run.
-pub fn apply_crypto_backend(flags: &Flags) -> Result<morphtree_crypto::AesBackend, CliError> {
-    use morphtree_crypto::aes;
-    let choice = select_crypto_backend(
-        flags.get_or("crypto-backend", "auto"),
-        morphtree_crypto::AesBackend::available,
-    )?;
-    aes::force_backend(choice);
-    Ok(aes::selected_backend())
-}
-
-/// Resolves a `--crypto-backend` value against an availability probe
-/// (`None` = automatic detection). Split from [`apply_crypto_backend`]
-/// with the probe injected so the rejection path — a typed usage error
-/// (exit 1) for a backend this CPU cannot run — is testable on hosts
-/// where every backend happens to be available.
-///
-/// # Errors
-///
-/// Errors on unknown backend names and on backends `available` rejects.
-fn select_crypto_backend(
-    name: &str,
-    available: impl Fn(morphtree_crypto::AesBackend) -> bool,
-) -> Result<Option<morphtree_crypto::AesBackend>, CliError> {
-    use morphtree_crypto::{aes, AesBackend};
-    if name == "auto" {
-        return Ok(None);
-    }
-    let backend = AesBackend::parse(name).ok_or_else(|| {
-        err(format!(
-            "unknown --crypto-backend `{name}` (try: auto, scalar, ttable, aesni, vaes)"
-        ))
-    })?;
-    if !available(backend) {
-        return Err(err(format!(
-            "--crypto-backend {name} is not available on this CPU \
-             (probed features: {})",
-            aes::cpu_features(),
-        )));
-    }
-    Ok(Some(backend))
-}
-
 /// Resolves a tree configuration by CLI name.
 ///
 /// # Errors
@@ -296,12 +245,11 @@ pub fn usage() -> String {
      \x20 verify-proof --proof FILE --root HEX | --root-file FILE\n\
      \x20           [--metrics FILE]\n\
      \x20 perf      [--out BENCH.json] [--quick 1] [--recovery 1] [--metrics FILE]\n\
-     \x20           [--crypto-backend auto|scalar|ttable|aesni|vaes] [--gate BASELINE.json]\n\
+     \x20           [--gate BASELINE.json]\n\
      \x20 serve     [--threads 1] [--shards 0=threads] [--ops 100000] [--batch 8192]\n\
      \x20           [--memory-mib 256] [--hot-lines 8192] [--write-pct 80]\n\
      \x20           [--config morph] [--seed 42] [--verify 0] [--metrics FILE]\n\
      \x20           [--epoch-ops 0=off] [--state-out PREFIX]\n\
-     \x20           [--crypto-backend auto|scalar|ttable|aesni|vaes]\n\
      \x20 crash-campaign [--seed 42] [--kills 24] [--shards 4] [--threads 2]\n\
      \x20           [--epoch-ops 64] [--batches 12] [--batch-ops 32]\n\
      \x20           [--memory-kib 1024] [--hot-lines 192] [--config morph]\n\
@@ -1170,72 +1118,6 @@ mod tests {
     fn numbers_accept_underscores() {
         let flags = Flags::parse(&strs(&["--n", "1_000_000"])).unwrap();
         assert_eq!(flags.number_or("n", 0).unwrap(), 1_000_000);
-    }
-
-    #[test]
-    fn crypto_backend_flag_validates_names_and_availability() {
-        // `auto` and the always-available software backends resolve; the
-        // selection they produce is process-global, so restore detection
-        // before returning (behavior-neutral either way — every backend
-        // is the same permutation).
-        let flags = Flags::parse(&strs(&["--crypto-backend", "scalar"])).unwrap();
-        assert_eq!(
-            apply_crypto_backend(&flags).unwrap(),
-            morphtree_crypto::AesBackend::Scalar
-        );
-        let flags = Flags::parse(&strs(&["--crypto-backend", "auto"])).unwrap();
-        assert_eq!(
-            apply_crypto_backend(&flags).unwrap(),
-            morphtree_crypto::aes::detected_backend()
-        );
-        let flags = Flags::parse(&strs(&["--crypto-backend", "bogus"])).unwrap();
-        let e = apply_crypto_backend(&flags).unwrap_err();
-        assert!(e.0.contains("unknown --crypto-backend"), "{}", e.0);
-        assert!(e.0.contains("vaes"), "suggestions must list vaes: {}", e.0);
-        assert_eq!(e.kind(), ErrorKind::Usage);
-        morphtree_crypto::aes::force_backend(None);
-    }
-
-    /// Satellite bugfix regression: forcing a backend the CPU cannot run
-    /// must fail with a typed availability error (usage kind, exit 1) —
-    /// never a crash or a silent fallback. The probe is injected so the
-    /// rejection path runs even on hosts where every backend is
-    /// available (this container has the full VAES set, real fleets do
-    /// not), and the hardware-backend branch also runs live when the
-    /// host genuinely lacks the features.
-    #[test]
-    fn unavailable_crypto_backend_is_a_typed_usage_error() {
-        use morphtree_crypto::AesBackend;
-        // Injected probe: the host "has" nothing but software paths.
-        let software_only =
-            |b: AesBackend| matches!(b, AesBackend::Scalar | AesBackend::TTable);
-        for name in ["aesni", "vaes"] {
-            let e = select_crypto_backend(name, software_only).unwrap_err();
-            assert_eq!(e.kind(), ErrorKind::Usage, "{name}");
-            assert_eq!(e.exit_code(), 1, "{name}");
-            assert!(
-                e.0.contains(&format!("--crypto-backend {name} is not available")),
-                "{name}: {}",
-                e.0
-            );
-            assert!(e.0.contains("probed features"), "{name}: {}", e.0);
-        }
-        // Software backends pass the same probe; `auto` never probes.
-        assert_eq!(
-            select_crypto_backend("scalar", software_only).unwrap(),
-            Some(AesBackend::Scalar)
-        );
-        assert_eq!(select_crypto_backend("auto", |_| false).unwrap(), None);
-        // Live probe: any backend the real CPU lacks is rejected the
-        // same way, and available ones are accepted.
-        for backend in [AesBackend::AesNi, AesBackend::Vaes] {
-            let result = select_crypto_backend(backend.as_str(), AesBackend::available);
-            if backend.available() {
-                assert_eq!(result.unwrap(), Some(backend));
-            } else {
-                assert_eq!(result.unwrap_err().kind(), ErrorKind::Usage);
-            }
-        }
     }
 
     #[test]

@@ -104,9 +104,6 @@ fn parse_params(flags: &Flags) -> Result<ServeParams, CliError> {
 /// detect during the `--verify` drill, or (epoch mode) a recovery drill
 /// that did not reproduce the live state.
 pub fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
-    // Applied before any shard is constructed: every per-shard cipher
-    // picks up the requested backend (`auto` keeps runtime detection).
-    crate::apply_crypto_backend(flags)?;
     let params = parse_params(flags)?;
     let epoch_ops = flags.number_or("epoch-ops", 0)?;
     if flags.get("state-out").is_some() && epoch_ops == 0 {
@@ -412,22 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_crypto_backend_flag_pins_every_shard() {
-        // The root must not depend on the backend (all backends are the
-        // same permutation), and the report must name the pinned one.
-        let root_of = |out: &str| {
-            let at = out.find("root 0x").expect("root in output");
-            out[at..at + 23].to_owned()
-        };
-        let pinned = serve(&[
-            "--threads", "2", "--ops", "2000", "--memory-mib", "4",
-            "--crypto-backend", "ttable",
-        ])
-        .unwrap();
-        assert!(pinned.contains("crypto ttable"), "{pinned}");
-        let auto = serve(&["--threads", "2", "--ops", "2000", "--memory-mib", "4"]).unwrap();
-        assert_eq!(root_of(&pinned), root_of(&auto));
-        morphtree_crypto::aes::force_backend(None);
+    fn serve_reports_the_selected_backend() {
+        let out = serve(&["--threads", "2", "--ops", "2000", "--memory-mib", "4"]).unwrap();
+        let expect = format!("crypto {}", morphtree_crypto::aes::selected_backend());
+        assert!(out.contains(&expect), "{out}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Golden equivalence suite (CLI layer): the optimized engine — paged
-//! flat stores, flat-array metadata cache, fused cache ops, T-table AES —
-//! must produce byte-identical end-to-end outputs to the seed `HashMap`
+//! flat stores, flat-array metadata cache, fused cache ops — must
+//! produce byte-identical end-to-end outputs to the seed `HashMap`
 //! implementation.
 //!
 //! `simulate_*` fixtures and `fig07_seed.txt` were captured from the seed

@@ -533,10 +533,7 @@ impl SecureMemory {
 
     /// Batch-verifies `lines` and returns their plaintexts in **input
     /// order** — the bulk form of calling [`SecureMemory::read`] per
-    /// line, with every MAC going through the batched SipHash pass and
-    /// every decryption through the bulk counter-mode path
-    /// ([`morphtree_crypto::CtrModeCipher::decrypt_lines_into`], four
-    /// lines per AES call on the `vaes` backend).
+    /// line, with every MAC going through the batched SipHash pass.
     ///
     /// Verification canonicalizes exactly like
     /// [`SecureMemory::verify_lines`]: duplicates are verified and
@@ -555,32 +552,22 @@ impl SecureMemory {
     ) -> Result<Vec<[u8; CACHELINE_BYTES]>, IntegrityError> {
         let canonical = crate::proof::canonical_lines(lines);
         self.verify_lines(&canonical)?;
-        // Decrypt each unique present line once, in VERIFY_BATCH chunks
-        // through the bulk counter-mode path.
+        // Decrypt each unique present line once.
         let mut plaintexts: std::collections::BTreeMap<u64, [u8; CACHELINE_BYTES]> =
             std::collections::BTreeMap::new();
-        let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(VERIFY_BATCH);
-        let mut present: Vec<u64> = Vec::with_capacity(VERIFY_BATCH);
-        let mut cts = [[0u8; CACHELINE_BYTES]; VERIFY_BATCH];
-        let mut pts = [[0u8; CACHELINE_BYTES]; VERIFY_BATCH];
-        for chunk in canonical.chunks(VERIFY_BATCH) {
-            pairs.clear();
-            present.clear();
-            for &line in chunk {
-                if let Some(ciphertext) = self.data.get(line) {
-                    cts[pairs.len()] = *ciphertext;
-                    pairs.push((self.data_addr(line), self.counter_of(line)));
-                    present.push(line);
-                }
-            }
-            let n = pairs.len();
-            self.charge(|ops| ops.otp_decrypts += n as u64);
-            self.cipher
-                .decrypt_lines_into(&pairs, &cts[..n], &mut pts[..n]);
-            for (&line, pt) in present.iter().zip(&pts) {
-                plaintexts.insert(line, *pt);
+        for &line in &canonical {
+            if let Some(ciphertext) = self.data.get(line) {
+                let mut plaintext = [0u8; CACHELINE_BYTES];
+                self.cipher.decrypt_line_into(
+                    self.data_addr(line),
+                    self.counter_of(line),
+                    ciphertext,
+                    &mut plaintext,
+                );
+                plaintexts.insert(line, plaintext);
             }
         }
+        self.charge(|ops| ops.otp_decrypts += plaintexts.len() as u64);
         Ok(lines
             .iter()
             .map(|line| {

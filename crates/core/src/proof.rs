@@ -847,7 +847,7 @@ impl Proof {
     ///
     /// # Errors
     ///
-    /// Any [`verify_proof`] failure; nothing is decrypted on failure.
+    /// Any [`verify_proof`] failure; no plaintext is released on failure.
     pub fn verify_and_read(
         &self,
         published_root: u64,
@@ -855,30 +855,26 @@ impl Proof {
         verify_proof(self, published_root)?;
         let geometry = geometry_of(&self.config, self.memory_bytes)?;
         let cipher = CtrModeCipher::new(self.key);
-        // Gather every line's (addr, counter) pair and ciphertext first,
-        // then decrypt the whole sweep through the bulk counter-mode path
-        // (four lines per AES call on the `vaes` backend).
-        let mut pairs = Vec::with_capacity(self.data.len());
-        let mut ciphertexts = Vec::with_capacity(self.data.len());
-        for entry in &self.data {
-            let (line_idx, slot) = geometry.parent_of(0, entry.line);
-            let node = self
-                .nodes
-                .iter()
-                .find(|n| n.level == 0 && n.line_idx == line_idx)
-                .ok_or(ProofError::MissingNode { level: 0, line_idx })?;
-            let counter = decode_node_line(&self.config, node)?.get(slot);
-            pairs.push((entry.line * CACHELINE_BYTES as u64, counter));
-            ciphertexts.push(entry.ciphertext);
-        }
-        let mut plaintexts = vec![[0u8; CACHELINE_BYTES]; pairs.len()];
-        cipher.decrypt_lines_into(&pairs, &ciphertexts, &mut plaintexts);
-        Ok(self
-            .data
+        self.data
             .iter()
-            .zip(plaintexts)
-            .map(|(entry, plaintext)| (entry.line, plaintext))
-            .collect())
+            .map(|entry| {
+                let (line_idx, slot) = geometry.parent_of(0, entry.line);
+                let node = self
+                    .nodes
+                    .iter()
+                    .find(|n| n.level == 0 && n.line_idx == line_idx)
+                    .ok_or(ProofError::MissingNode { level: 0, line_idx })?;
+                let counter = decode_node_line(&self.config, node)?.get(slot);
+                let mut plaintext = [0u8; CACHELINE_BYTES];
+                cipher.decrypt_line_into(
+                    entry.line * CACHELINE_BYTES as u64,
+                    counter,
+                    &entry.ciphertext,
+                    &mut plaintext,
+                );
+                Ok((entry.line, plaintext))
+            })
+            .collect()
     }
 }
 

@@ -1,13 +1,13 @@
 //! Hardware AES-128 encryption via the x86-64 AES-NI instruction set.
 //!
-//! This is one of the crate's **two audited `unsafe` modules** (with
-//! [`crate::aes_vaes`]; the crate is otherwise `#![deny(unsafe_code)]`),
-//! following the same
-//! pattern as the metadata cache's AVX2 kernels: a runtime-probed fast
-//! path whose semantic specification is the portable code it replaces.
-//! The scalar and T-table paths in [`crate::aes`] remain the reference;
-//! the FIPS-197 known-answer tests and the cross-backend property tests
-//! pin this path bit-identical to both.
+//! This is the crate's **one audited `unsafe` module** (the crate is
+//! otherwise `#![deny(unsafe_code)]`), following the same pattern as the
+//! metadata cache's AVX2 kernels: a runtime-probed fast path whose
+//! semantic specification is the portable code it replaces. The scalar
+//! path in [`crate::aes`] remains the reference; the FIPS-197
+//! known-answer tests and the cross-backend property tests pin this path
+//! bit-identical to it. Unlike the scalar path, which indexes a 256-byte
+//! S-box with secret bytes, `AESENC` runs in constant time.
 //!
 //! # Safety argument
 //!
@@ -37,8 +37,7 @@
 //! the AES unit ~75% idle. Counter-mode pads are embarrassingly parallel
 //! — the four sub-block seeds of a 64-byte cacheline are independent —
 //! so [`encrypt_blocks4`] interleaves four round chains and keeps the
-//! unit's pipeline full. That software pipelining, not the instruction
-//! itself, is where most of the >10x over the T-table path comes from.
+//! unit's pipeline full.
 
 use core::arch::x86_64::{
     __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_storeu_si128,

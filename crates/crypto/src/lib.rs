@@ -13,12 +13,11 @@
 //! FIPS-197 vectors and SipHash-2-4 against the reference vectors from the
 //! SipHash paper.
 //!
-//! AES dispatches through a runtime-selected backend ([`aes::AesBackend`]):
-//! hardware AES-NI where the CPU supports it ([`aes_ni`]) plus an opt-in
-//! 512-bit VAES path for cross-line batching ([`aes_vaes`]) — the crate's
-//! two audited `unsafe` modules — with the portable T-table and scalar
-//! paths kept as always-available references pinned bit-identical by
-//! known-answer and property tests.
+//! AES runs on one of two backends ([`aes::AesBackend`]), chosen once by
+//! [`aes::detected_backend`]: hardware AES-NI where the CPU supports it
+//! ([`aes_ni`], the crate's one audited `unsafe` module), else the
+//! portable scalar FIPS-197 reference, which known-answer and property
+//! tests pin the hardware path bit-identical to.
 //!
 //! # Example
 //!
@@ -35,7 +34,7 @@
 //! assert_eq!(cipher.decrypt_line(line_addr, counter, &ciphertext), plaintext);
 //! ```
 
-// `deny` rather than `forbid` so the two audited hardware-intrinsics modules
+// `deny` rather than `forbid` so the audited hardware-intrinsics module
 // below can opt back in; everything else in the crate stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,9 +43,6 @@ pub mod aes;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub mod aes_ni;
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub mod aes_vaes;
 pub mod mac;
 pub mod otp;
 

@@ -26,8 +26,8 @@ impl CtrModeCipher {
         Self { aes: Aes128::new(&key) }
     }
 
-    /// Creates a cipher pinned to an explicit AES backend (A/B benchmarking
-    /// and cross-backend equivalence tests).
+    /// Creates a cipher pinned to an explicit AES backend (the per-backend
+    /// perf curve and cross-backend equivalence tests).
     pub fn with_backend(key: [u8; 16], backend: AesBackend) -> Self {
         Self { aes: Aes128::with_backend(&key, backend) }
     }
@@ -62,14 +62,6 @@ impl CtrModeCipher {
     /// independent, so the hardware backend overlaps their round chains
     /// instead of running four serial encryptions.
     fn pad_blocks(&self, line_addr: u64, counter: u64) -> [[u8; 16]; 4] {
-        self.aes.encrypt_blocks4(&Self::line_seeds(line_addr, counter))
-    }
-
-    /// The four seed blocks of one line: `line_addr ‖ counter` with the
-    /// block index in the counter's top byte (see
-    /// [`CtrModeCipher::one_time_pad`]). Shared by the per-line and the
-    /// bulk paths so both encrypt exactly the same seed bytes.
-    fn line_seeds(line_addr: u64, counter: u64) -> [[u8; 16]; 4] {
         let mut seed = [0u8; 16];
         seed[0..8].copy_from_slice(&line_addr.to_le_bytes());
         seed[8..16].copy_from_slice(&counter.to_le_bytes());
@@ -78,121 +70,7 @@ impl CtrModeCipher {
         for (block, seed) in seeds.iter_mut().enumerate() {
             seed[15] = counter_top | block as u8;
         }
-        seeds
-    }
-
-    /// Generates the pads for a whole batch of `(line_addr, counter)`
-    /// pairs into `pads`, four lines (16 blocks) per
-    /// [`crate::aes::Aes128::encrypt_blocks16`] call.
-    ///
-    /// This is the cross-line batching hot path: on the `vaes` backend a
-    /// group of four lines runs as four 512-bit register states, so a
-    /// 16-line batch issues four `encrypt_blocks16` calls instead of
-    /// sixteen `encrypt_blocks4` calls. The remainder (batch length mod
-    /// 4) goes through the per-line [`CtrModeCipher::one_time_pad`]
-    /// formulation — bit-identical by construction, and pinned so by the
-    /// remainder property tests. Entries may repeat and appear in any
-    /// order; each output pad depends only on its own `(addr, counter)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lines` and `pads` have different lengths.
-    pub fn pad_lines(&self, lines: &[(u64, u64)], pads: &mut [CachelineBytes]) {
-        assert_eq!(
-            lines.len(),
-            pads.len(),
-            "pad_lines: {} line(s) but {} output buffer(s)",
-            lines.len(),
-            pads.len()
-        );
-        let full = lines.len() / 4 * 4;
-        for (quad, outs) in lines[..full]
-            .chunks_exact(4)
-            .zip(pads[..full].chunks_exact_mut(4))
-        {
-            let mut seeds = [[0u8; 16]; 16];
-            for (i, &(addr, ctr)) in quad.iter().enumerate() {
-                seeds[4 * i..4 * i + 4].copy_from_slice(&Self::line_seeds(addr, ctr));
-            }
-            let blocks = self.aes.encrypt_blocks16(&seeds);
-            for (i, out) in outs.iter_mut().enumerate() {
-                for (chunk, block) in
-                    out.chunks_exact_mut(16).zip(&blocks[4 * i..4 * i + 4])
-                {
-                    chunk.copy_from_slice(block);
-                }
-            }
-        }
-        for (&(addr, ctr), out) in lines[full..].iter().zip(pads[full..].iter_mut()) {
-            for (chunk, block) in
-                out.chunks_exact_mut(16).zip(&self.pad_blocks(addr, ctr))
-            {
-                chunk.copy_from_slice(block);
-            }
-        }
-    }
-
-    /// Allocating form of [`CtrModeCipher::pad_lines`]: one pad per
-    /// input pair, in input order.
-    pub fn one_time_pads(&self, lines: &[(u64, u64)]) -> Vec<CachelineBytes> {
-        let mut pads = vec![[0u8; CACHELINE_BYTES]; lines.len()];
-        self.pad_lines(lines, &mut pads);
-        pads
-    }
-
-    /// Bulk [`CtrModeCipher::encrypt_line_into`]: encrypts
-    /// `plaintexts[i]` under `lines[i]` into `outs[i]`, generating the
-    /// pads four lines per AES call via [`CtrModeCipher::pad_lines`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices have different lengths.
-    pub fn encrypt_lines_into(
-        &self,
-        lines: &[(u64, u64)],
-        plaintexts: &[CachelineBytes],
-        outs: &mut [CachelineBytes],
-    ) {
-        self.xor_lines_into(lines, plaintexts, outs);
-    }
-
-    /// Bulk [`CtrModeCipher::decrypt_line_into`] (identical to
-    /// [`CtrModeCipher::encrypt_lines_into`] in counter mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices have different lengths.
-    pub fn decrypt_lines_into(
-        &self,
-        lines: &[(u64, u64)],
-        ciphertexts: &[CachelineBytes],
-        outs: &mut [CachelineBytes],
-    ) {
-        self.xor_lines_into(lines, ciphertexts, outs);
-    }
-
-    fn xor_lines_into(
-        &self,
-        lines: &[(u64, u64)],
-        inputs: &[CachelineBytes],
-        outs: &mut [CachelineBytes],
-    ) {
-        assert_eq!(
-            lines.len(),
-            inputs.len(),
-            "bulk xor: {} line(s) but {} input line(s)",
-            lines.len(),
-            inputs.len()
-        );
-        // Pads land in `outs` first, then the inputs XOR over them: the
-        // extra 64-byte pass is noise next to the ten AES rounds per
-        // block, and it keeps one pad-generation path for all bulk APIs.
-        self.pad_lines(lines, outs);
-        for (out, input) in outs.iter_mut().zip(inputs) {
-            for (o, i) in out.iter_mut().zip(input) {
-                *o ^= i;
-            }
-        }
+        self.aes.encrypt_blocks4(&seeds)
     }
 
     /// The seed formulation of [`CtrModeCipher::one_time_pad`]: per-block
@@ -363,71 +241,6 @@ mod tests {
                 "{backend} ciphertext"
             );
         }
-    }
-
-    /// Satellite bugfix: the bulk APIs must be byte-identical to the
-    /// per-line path for batch sizes off the register width (0, 1, 3,
-    /// 5, 17) and for duplicate/unsorted entries — the remainder loop
-    /// and the quad loop share one seed formulation, and this pins it.
-    #[test]
-    fn bulk_pads_match_per_line_for_every_remainder_shape() {
-        let c = cipher();
-        for n in [0usize, 1, 3, 4, 5, 16, 17] {
-            let lines: Vec<(u64, u64)> = (0..n)
-                .map(|i| ((i as u64) * 64, (i as u64).wrapping_mul(0x9e37) & ((1 << 56) - 1)))
-                .collect();
-            let pads = c.one_time_pads(&lines);
-            assert_eq!(pads.len(), n);
-            for (i, &(addr, ctr)) in lines.iter().enumerate() {
-                assert_eq!(pads[i], c.one_time_pad(addr, ctr), "n={n} line {i}");
-            }
-        }
-        // Duplicates and unsorted order: each pad depends only on its
-        // own pair, wherever (and however often) it sits in the batch.
-        let lines = [(0x200u64, 9u64), (0x40, 1), (0x200, 9), (0x100, 7), (0x40, 2)];
-        let pads = c.one_time_pads(&lines);
-        for (i, &(addr, ctr)) in lines.iter().enumerate() {
-            assert_eq!(pads[i], c.one_time_pad(addr, ctr), "line {i}");
-        }
-        assert_eq!(pads[0], pads[2], "duplicate pairs yield duplicate pads");
-    }
-
-    #[test]
-    fn bulk_encrypt_and_decrypt_match_the_per_line_forms() {
-        let c = cipher();
-        let lines: Vec<(u64, u64)> = (0..7).map(|i| (0x40 * i as u64, 3 + i as u64)).collect();
-        let pts: Vec<CachelineBytes> = (0..7)
-            .map(|i| core::array::from_fn(|j| (i * 64 + j) as u8))
-            .collect();
-        let mut cts = vec![[0u8; CACHELINE_BYTES]; 7];
-        c.encrypt_lines_into(&lines, &pts, &mut cts);
-        for i in 0..7 {
-            let (addr, ctr) = lines[i];
-            assert_eq!(cts[i], c.encrypt_line(addr, ctr, &pts[i]), "line {i}");
-        }
-        let mut round = vec![[0u8; CACHELINE_BYTES]; 7];
-        c.decrypt_lines_into(&lines, &cts, &mut round);
-        assert_eq!(round, pts);
-    }
-
-    #[test]
-    fn bulk_pads_agree_across_every_available_backend() {
-        let key = [0x42u8; 16];
-        let lines: Vec<(u64, u64)> = (0..9).map(|i| (64 * i as u64, i as u64)).collect();
-        let reference = CtrModeCipher::with_backend(key, crate::aes::AesBackend::Scalar);
-        let expect = reference.one_time_pads(&lines);
-        for backend in crate::aes::AesBackend::all_available() {
-            let c = CtrModeCipher::with_backend(key, backend);
-            assert_eq!(c.one_time_pads(&lines), expect, "{backend} bulk pads");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pad_lines")]
-    fn mismatched_bulk_lengths_panic() {
-        let c = cipher();
-        let mut pads = [[0u8; CACHELINE_BYTES]; 2];
-        c.pad_lines(&[(0, 0)], &mut pads);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ```text
 //! magic   4 bytes  "MTRC"
 //! version u32 LE   1
-//! cores   u32 LE
+//! cores   u32 LE   1..=256
 //! name    u32 LE length + UTF-8 bytes
 //! records repeated until EOF:
 //!   core  u8
@@ -31,12 +31,22 @@ use crate::workload::{RecordSource, TraceRecord};
 const MAGIC: &[u8; 4] = b"MTRC";
 const VERSION: u32 = 1;
 
-/// A structurally invalid trace: no cores, or a core with no records (a
-/// replay stream loops, so an empty core could never make progress).
+/// Most cores an `MTRC` trace can hold: records name their core in one
+/// byte.
+pub const MAX_CORES: usize = 256;
+
+/// A structurally invalid trace: no cores, more cores than a record can
+/// address, or a core with no records (a replay stream loops, so an empty
+/// core could never make progress).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceShapeError {
     /// The trace has no cores at all.
     NoCores,
+    /// The trace has more than [`MAX_CORES`] cores.
+    TooManyCores {
+        /// The core count asked for.
+        cores: usize,
+    },
     /// `core` has no records.
     EmptyCore {
         /// Index of the record-less core.
@@ -48,6 +58,9 @@ impl fmt::Display for TraceShapeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceShapeError::NoCores => write!(f, "trace has no cores"),
+            TraceShapeError::TooManyCores { cores } => {
+                write!(f, "trace has {cores} cores; records address at most {MAX_CORES}")
+            }
             TraceShapeError::EmptyCore { core } => {
                 write!(f, "trace core {core} has no records")
             }
@@ -76,8 +89,12 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the underlying writer.
+    /// Returns `InvalidData` for more than [`MAX_CORES`] cores, and
+    /// propagates I/O errors from the underlying writer.
     pub fn new(mut sink: W, name: &str, cores: u32) -> io::Result<Self> {
+        if cores as usize > MAX_CORES {
+            return Err(TraceShapeError::TooManyCores { cores: cores as usize }.into());
+        }
         sink.write_all(MAGIC)?;
         sink.write_all(&VERSION.to_le_bytes())?;
         sink.write_all(&cores.to_le_bytes())?;
@@ -125,14 +142,17 @@ impl RecordedTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceShapeError`] if there are no cores or any core has no
-    /// records.
+    /// Returns [`TraceShapeError`] if there are no cores, more than
+    /// [`MAX_CORES`], or any core has no records.
     pub fn new(
         name: impl Into<String>,
         per_core: Vec<Vec<TraceRecord>>,
     ) -> Result<Self, TraceShapeError> {
         if per_core.is_empty() {
             return Err(TraceShapeError::NoCores);
+        }
+        if per_core.len() > MAX_CORES {
+            return Err(TraceShapeError::TooManyCores { cores: per_core.len() });
         }
         if let Some(core) = per_core.iter().position(Vec::is_empty) {
             return Err(TraceShapeError::EmptyCore { core });
@@ -162,8 +182,10 @@ impl RecordedTrace {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for malformed headers or truncated records, and
-    /// propagates underlying I/O errors.
+    /// Returns `InvalidData` for malformed headers (including a core count
+    /// over [`MAX_CORES`]) or stray records, `UnexpectedEof` for a
+    /// truncated header or record, and propagates underlying I/O errors.
+    /// Nothing is allocated from an unchecked header field.
     pub fn read_from<R: Read>(reader: R) -> io::Result<Self> {
         let mut reader = BufReader::new(reader);
         let mut magic = [0u8; 4];
@@ -185,10 +207,18 @@ impl RecordedTrace {
         if cores == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "zero cores"));
         }
+        if cores > MAX_CORES {
+            return Err(TraceShapeError::TooManyCores { cores }.into());
+        }
         reader.read_exact(&mut word)?;
-        let name_len = u32::from_le_bytes(word) as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        reader.read_exact(&mut name_bytes)?;
+        let name_len = u32::from_le_bytes(word);
+        // Read through `take` so a lying length costs only the bytes
+        // actually present, not an up-front allocation of `name_len`.
+        let mut name_bytes = Vec::new();
+        reader.by_ref().take(u64::from(name_len)).read_to_end(&mut name_bytes)?;
+        if name_bytes.len() != name_len as usize {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated trace name"));
+        }
         let name = String::from_utf8(name_bytes)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
 
@@ -230,7 +260,9 @@ impl RecordedTrace {
             TraceWriter::new(BufWriter::new(sink), &self.name, self.per_core.len() as u32)?;
         for (core, records) in self.per_core.iter().enumerate() {
             for &record in records {
-                writer.record(core as u8, record)?;
+                let core = u8::try_from(core)
+                    .map_err(|_| TraceShapeError::TooManyCores { cores: self.per_core.len() })?;
+                writer.record(core, record)?;
             }
         }
         writer.finish()?;
@@ -387,6 +419,55 @@ mod tests {
             RecordedTrace::new("half", vec![vec![], vec![]]).unwrap_err(),
             TraceShapeError::EmptyCore { core: 0 }
         );
+    }
+
+    /// Regression: a 16-byte header claiming `u32::MAX` cores used to
+    /// make the reader build ~96 GiB of empty per-core vectors, and a
+    /// lying name length used to be allocated before it was read.
+    #[test]
+    fn hostile_headers_are_refused_without_allocating() {
+        let header = |cores: u32, name_len: u32| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&VERSION.to_le_bytes());
+            bytes.extend_from_slice(&cores.to_le_bytes());
+            bytes.extend_from_slice(&name_len.to_le_bytes());
+            bytes
+        };
+        let err = RecordedTrace::read_from(header(u32::MAX, 0).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("at most 256"), "{err}");
+        let err = RecordedTrace::read_from(header(257, 0).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let mut lying = header(1, u32::MAX);
+        lying.extend_from_slice(b"abc");
+        let err = RecordedTrace::read_from(lying.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// Regression: records address their core in one byte, so core 256
+    /// used to be written as core 0. Such traces are now refused up
+    /// front; 256 cores is the largest shape that round-trips.
+    #[test]
+    fn traces_over_256_cores_are_refused() {
+        let record = TraceRecord { gap: 1, line: 2, is_write: false };
+        assert_eq!(
+            RecordedTrace::new("wide", vec![vec![record]; 257]).unwrap_err(),
+            TraceShapeError::TooManyCores { cores: 257 }
+        );
+        let err = TraceWriter::new(Vec::new(), "wide", 257).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let per_core: Vec<Vec<TraceRecord>> = (0..MAX_CORES as u64)
+            .map(|core| vec![TraceRecord { gap: 0, line: core, is_write: false }])
+            .collect();
+        let trace = RecordedTrace::new("widest", per_core).unwrap();
+        let mut bytes = Vec::new();
+        trace.write_to(&mut bytes).unwrap();
+        let mut loaded = RecordedTrace::read_from(bytes.as_slice()).unwrap();
+        assert_eq!(loaded.num_cores(), MAX_CORES);
+        assert_eq!(loaded.next_record(255).line, 255);
+        assert_eq!(loaded.next_record(0).line, 0);
     }
 
     #[test]
