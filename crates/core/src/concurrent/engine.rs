@@ -468,45 +468,45 @@ impl ShardedMemory {
     ///
     /// Returns the first [`IntegrityError`] across shards, in shard order.
     pub fn verify_all(&self) -> Result<(), IntegrityError> {
-        for (s, shard) in self.shards.iter().enumerate() {
-            shard.verify_all().map_err(|e| globalize_integrity(&self.plan, s, e))?;
-        }
-        Ok(())
+        self.per_shard(|_, shard| shard.verify_all()).map(|_| ())
+    }
+
+    /// Runs `verify(shard index, shard)` on every shard in shard order:
+    /// the one per-shard loop of the sharded verifiers.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`IntegrityError`], with data coordinates
+    /// globalized.
+    pub(crate) fn per_shard<R>(
+        &self,
+        mut verify: impl FnMut(usize, &SecureMemory) -> Result<R, IntegrityError>,
+    ) -> Result<Vec<R>, IntegrityError> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(s, shard)| verify(s, shard).map_err(|e| globalize_integrity(&self.plan, s, e)))
+            .collect()
     }
 
     /// Batch-verifies the data MACs and deduplicated counter chains of
     /// `lines` (global coordinates), routing each line to its owning
     /// shard and running one batched
-    /// [`SecureMemory::verify_lines`] pass per touched shard.
-    ///
-    /// Mirrors the serial canonicalization: duplicate or unsorted global
-    /// lines are deduplicated *before* bucketing, so per-shard buckets
-    /// (and therefore per-shard MAC counts) match what
-    /// [`SecureMemory::verify_lines_cost`] would predict per shard.
+    /// [`SecureMemory::verify_lines`] pass per shard, which canonicalizes
+    /// its bucket exactly as the serial call does.
     ///
     /// # Errors
     ///
     /// Returns the first [`IntegrityError`] across shards, in shard
     /// order, with data coordinates globalized.
     pub fn verify_lines(&self, lines: &[u64]) -> Result<(), IntegrityError> {
-        let mut by_shard: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
-        for &line in &crate::proof::canonical_lines(lines) {
-            by_shard[self.plan.shard_of(line)].push(self.plan.local_line(line));
-        }
-        for (s, local) in by_shard.iter().enumerate() {
-            if local.is_empty() {
-                continue;
-            }
-            self.shards[s]
-                .verify_lines(local)
-                .map_err(|e| globalize_integrity(&self.plan, s, e))?;
-        }
-        Ok(())
+        let buckets = self.plan.bucket(lines);
+        self.per_shard(|s, shard| shard.verify_lines(&buckets[s])).map(|_| ())
     }
 
     /// Batch-verifies and decrypts `lines` (global coordinates), routing
     /// each line to its owning shard and running one
-    /// [`SecureMemory::verify_and_read`] pass per touched shard.
+    /// [`SecureMemory::verify_and_read`] pass per shard.
     /// Plaintexts come back in **input order** (duplicates included);
     /// never-written lines read as zeroes.
     ///
@@ -519,28 +519,20 @@ impl ShardedMemory {
         &self,
         lines: &[u64],
     ) -> Result<Vec<[u8; CACHELINE_BYTES]>, IntegrityError> {
-        let mut by_shard: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
-        for &line in lines {
-            by_shard[self.plan.shard_of(line)].push(self.plan.local_line(line));
-        }
-        let mut per_shard: Vec<std::collections::VecDeque<[u8; CACHELINE_BYTES]>> =
-            Vec::with_capacity(self.shards.len());
-        for (s, local) in by_shard.iter().enumerate() {
-            per_shard.push(
-                self.shards[s]
-                    .verify_and_read(local)
-                    .map_err(|e| globalize_integrity(&self.plan, s, e))?
-                    .into(),
-            );
-        }
+        let buckets = self.plan.bucket(lines);
+        let mut per_shard: Vec<_> = self
+            .per_shard(|s, shard| shard.verify_and_read(&buckets[s]))?
+            .into_iter()
+            .map(Vec::into_iter)
+            .collect();
         Ok(lines
             .iter()
             .map(|&line| {
                 // Each shard returned exactly one plaintext per routed
-                // line, in routing order — both loops walk `lines`.
+                // line, in routing order — both walk `lines`.
                 #[allow(clippy::expect_used)]
                 per_shard[self.plan.shard_of(line)]
-                    .pop_front()
+                    .next()
                     .expect("one plaintext per routed line")
             })
             .collect())

@@ -138,6 +138,16 @@ impl ShardPlan {
         self.shard_base(shard) + local
     }
 
+    /// Routes global `lines` to their owning shards: each shard's local
+    /// lines, in input order (panics like [`ShardPlan::shard_of`]).
+    pub(crate) fn bucket(&self, lines: &[u64]) -> Vec<Vec<u64>> {
+        let mut buckets = vec![Vec::new(); self.shards];
+        for &line in lines {
+            buckets[self.shard_of(line)].push(self.local_line(line));
+        }
+        buckets
+    }
+
     /// Splits a global [`PagedStore`] into per-shard stores keyed by local
     /// line index. Entries land in the shard that owns their index; the
     /// inverse of [`ShardPlan::merge_stores`].

@@ -262,6 +262,17 @@ impl CounterOrg {
         }
     }
 
+    /// Decodes a 64-byte line image of this organization. Every split
+    /// image decodes; a non-canonical morphable image is a `CodecError`.
+    pub(crate) fn decode_line(&self, image: &[u8; 64]) -> Result<Line, crate::error::CodecError> {
+        Ok(match *self {
+            CounterOrg::Split { arity } => {
+                Line::Split(split::SplitLine::decode(split::SplitConfig::with_arity(arity), image))
+            }
+            CounterOrg::Morph(mode) => Line::Morph(morph::MorphLine::decode(mode, image)?),
+        })
+    }
+
     /// Short human-readable name (e.g. `SC-64`, `MorphCtr-128`).
     #[must_use]
     pub fn label(&self) -> String {

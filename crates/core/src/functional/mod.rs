@@ -34,22 +34,13 @@
 
 use std::cell::Cell;
 
-use morphtree_crypto::{CtrModeCipher, MacKey, MacTag};
+use morphtree_crypto::{CtrModeCipher, MacKey};
 
-/// Upper bound on integrity-chain depth (levels from data to root). The
-/// deepest evaluated geometry (arity-8 SGX-style counters over a 16 GiB
-/// memory) is under 12 levels; 24 leaves generous headroom and keeps
-/// per-read chain verification allocation-free.
-const MAX_CHAIN: usize = 24;
+mod verify;
 
-/// Lines per batched MAC pass in the bulk verifiers — enough to amortize
-/// loop overhead and keep the interleaved SipHash states hot without
-/// oversizing the stack buffers.
-const VERIFY_BATCH: usize = 16;
+pub(crate) use verify::{ancestors, canonical_lines, mac_batches, VerifyPlan};
 
-use crate::counters::morph::MorphLine;
-use crate::counters::split::{SplitConfig, SplitLine};
-use crate::counters::{CounterLine, CounterOrg, IncrementOutcome, Line};
+use crate::counters::{CounterLine, IncrementOutcome, Line};
 use crate::error::{CodecError, IntegrityError, TamperError};
 use crate::store::PagedStore;
 use crate::tree::{TreeConfig, TreeGeometry};
@@ -155,6 +146,25 @@ pub struct SecureMemory {
     journal: Option<MutationJournal>,
 }
 
+/// The MAC key of a memory built from `key`: the same 16 bytes seed both
+/// the encryption and the MAC key, domain separated here. Proofs derive
+/// their verification key through this too.
+pub(crate) fn derive_mac_key(key: [u8; 16]) -> MacKey {
+    let mut seed = key;
+    seed[0] ^= 0x5a; // domain separation from the encryption key
+    MacKey::new(seed)
+}
+
+/// The root digest of a top line with MAC-input image `body` and stored
+/// `mac` (see [`SecureMemory::root_digest`]); proofs bind their top node
+/// with it too.
+pub(crate) fn top_digest(body: &[u8; CACHELINE_BYTES], mac: u64) -> u64 {
+    let mut image = [0u8; CACHELINE_BYTES + 8];
+    image[..CACHELINE_BYTES].copy_from_slice(body);
+    image[CACHELINE_BYTES..].copy_from_slice(&mac.to_le_bytes());
+    crate::persist::codec::fnv1a(&image)
+}
+
 impl SecureMemory {
     /// Creates a secure memory over `memory_bytes` of protected data.
     ///
@@ -167,12 +177,10 @@ impl SecureMemory {
     #[must_use]
     pub fn new(config: TreeConfig, memory_bytes: u64, key: [u8; 16]) -> Self {
         let geometry = TreeGeometry::new(&config, memory_bytes);
-        let mut mac_seed = key;
-        mac_seed[0] ^= 0x5a; // domain separation from the encryption key
         SecureMemory {
             config,
             cipher: CtrModeCipher::new(key),
-            mac_key: MacKey::new(mac_seed),
+            mac_key: derive_mac_key(key),
             key,
             data: PagedStore::new(geometry.data_lines()),
             data_macs: PagedStore::new(geometry.data_lines()),
@@ -238,12 +246,7 @@ impl SecureMemory {
         let top = self.geometry.top_level();
         match self.levels[top].get(0) {
             None => crate::persist::codec::fnv1a(&[]),
-            Some(line) => {
-                let mut image = [0u8; CACHELINE_BYTES + 8];
-                image[..CACHELINE_BYTES].copy_from_slice(&line.encode_for_mac());
-                image[CACHELINE_BYTES..].copy_from_slice(&line.mac().to_le_bytes());
-                crate::persist::codec::fnv1a(&image)
-            }
+            Some(line) => top_digest(&line.encode_for_mac(), line.mac()),
         }
     }
 
@@ -265,21 +268,17 @@ impl SecureMemory {
         self.levels[level].get_or_insert_with(line_idx, || org.new_line())
     }
 
-    /// MAC of a metadata line at `level`, keyed by its parent counter.
-    fn counter_line_mac(&self, level: usize, line_idx: u64, body: &[u8; 64]) -> u64 {
-        let parent_value = if level == self.geometry.top_level() {
-            // The root line lives in on-chip trusted storage; give it a
-            // fixed key component.
-            0
-        } else {
-            let (parent_idx, slot) = self.geometry.parent_of(level + 1, line_idx);
-            self.levels[level + 1]
-                .get(parent_idx)
-                .map_or(0, |line| line.get(slot))
-        };
-        let addr = self.geometry.line_addr(level, line_idx);
-        self.charge(|ops| ops.mac_computes += 1);
-        self.mac_key.mac_line(addr, parent_value, body).0
+    /// The counter a metadata line's MAC is keyed by: the line's slot in
+    /// its parent, or 0 for the top line, which lives in on-chip trusted
+    /// storage.
+    fn key_counter(&self, level: usize, line_idx: u64) -> u64 {
+        if level == self.geometry.top_level() {
+            return 0;
+        }
+        let (parent_idx, slot) = self.geometry.parent_of(level + 1, line_idx);
+        self.levels[level + 1]
+            .get(parent_idx)
+            .map_or(0, |line| line.get(slot))
     }
 
     /// Recomputes and stores the MAC of a metadata line.
@@ -289,11 +288,10 @@ impl SecureMemory {
     /// child repairs), so this is the single choke point where counter
     /// mutations reach the journal.
     fn refresh_line_mac(&mut self, level: usize, line_idx: u64) {
-        let body = {
-            let line = self.line_or_new(level, line_idx);
-            line.encode_for_mac()
-        };
-        let mac = self.counter_line_mac(level, line_idx, &body);
+        let body = self.line_or_new(level, line_idx).encode_for_mac();
+        let addr = self.geometry.line_addr(level, line_idx);
+        self.charge(|ops| ops.mac_computes += 1);
+        let mac = self.mac_key.mac_line(addr, self.key_counter(level, line_idx), &body).0;
         self.line_or_new(level, line_idx).set_mac(mac);
         if let Some(journal) = self.journal.as_mut() {
             journal.counter_lines.insert((level, line_idx));
@@ -392,7 +390,7 @@ impl SecureMemory {
     }
 
     /// Reads and verifies a line: checks the data MAC and every counter-line
-    /// MAC up to the on-chip root.
+    /// MAC up to the on-chip root, data line first.
     ///
     /// # Errors
     ///
@@ -404,73 +402,23 @@ impl SecureMemory {
             // Never written: defined to read as zeroes.
             return Ok([0u8; CACHELINE_BYTES]);
         };
-        let addr = self.data_addr(data_line);
-        let counter = self.counter_of(data_line);
-        self.charge(|ops| ops.mac_computes += 1);
-        let expect = self.mac_key.mac_line(addr, counter, ciphertext).0;
-        // A written line must have a stored MAC. Treating a missing MAC as
-        // "0" would hand an adversary a trivially forgeable sentinel value;
-        // make the inconsistency a verification failure instead.
-        let Some(&stored) = self.data_macs.get(data_line) else {
-            return Err(IntegrityError::MissingMac { line_addr: addr });
-        };
-        if stored != expect {
-            return Err(IntegrityError::DataMac { line_addr: addr });
-        }
-        self.verify_chain(data_line)?;
+        let mut counter = 0;
+        VerifyPlan::Line(self, data_line).run_with(|_, key| counter = key)?;
+        Ok(self.open(data_line, counter, ciphertext))
+    }
+
+    /// Decrypts a verified data line under its effective counter.
+    fn open(
+        &self,
+        data_line: u64,
+        counter: u64,
+        ciphertext: &[u8; CACHELINE_BYTES],
+    ) -> [u8; CACHELINE_BYTES] {
         self.charge(|ops| ops.otp_decrypts += 1);
         let mut plaintext = [0u8; CACHELINE_BYTES];
         self.cipher
-            .decrypt_line_into(addr, counter, ciphertext, &mut plaintext);
-        Ok(plaintext)
-    }
-
-    /// Verifies the counter-line MAC chain covering `data_line`.
-    ///
-    /// The chain's lines are collected first and their MACs computed in
-    /// one batched [`MacKey::mac_lines_into`] pass (interleaved SipHash
-    /// states), allocation-free via fixed stack buffers — the chain depth
-    /// is bounded by [`MAX_CHAIN`].
-    fn verify_chain(&self, data_line: u64) -> Result<(), IntegrityError> {
-        let mut bodies = [[0u8; 64]; MAX_CHAIN];
-        // (level, line_idx, line addr, parent-counter key, stored MAC).
-        let mut meta = [(0usize, 0u64, 0u64, 0u64, 0u64); MAX_CHAIN];
-        let mut count = 0;
-        let mut child = data_line;
-        for level in 0..=self.geometry.top_level() {
-            let (line_idx, _) = self.geometry.parent_of(level, child);
-            if let Some(line) = self.levels[level].get(line_idx) {
-                // The root line (level == top) is on-chip: trusted.
-                if level < self.geometry.top_level() {
-                    let (parent_idx, slot) = self.geometry.parent_of(level + 1, line_idx);
-                    let parent_value = self.levels[level + 1]
-                        .get(parent_idx)
-                        .map_or(0, |parent| parent.get(slot));
-                    bodies[count] = line.encode_for_mac();
-                    meta[count] = (
-                        level,
-                        line_idx,
-                        self.geometry.line_addr(level, line_idx),
-                        parent_value,
-                        line.mac(),
-                    );
-                    count += 1;
-                }
-            }
-            child = line_idx;
-        }
-        self.charge(|ops| ops.mac_computes += count as u64);
-        let inputs: [(u64, u64, &[u8; 64]); MAX_CHAIN] =
-            core::array::from_fn(|i| (meta[i].2, meta[i].3, &bodies[i]));
-        let mut tags = [MacTag(0); MAX_CHAIN];
-        self.mac_key
-            .mac_lines_into(&inputs[..count], &mut tags[..count]);
-        for (tag, &(level, line_idx, _, _, stored)) in tags.iter().zip(&meta).take(count) {
-            if stored != tag.0 {
-                return Err(IntegrityError::CounterMac { level, line_idx });
-            }
-        }
-        Ok(())
+            .decrypt_line_into(self.data_addr(data_line), counter, ciphertext, &mut plaintext);
+        plaintext
     }
 
     /// Batch-verifies the data MACs of `lines` and the MACs of their
@@ -478,57 +426,19 @@ impl SecureMemory {
     /// [`SecureMemory::read`] per line, minus the useless OTP decrypts:
     /// the MAC covers the *ciphertext*, so decryption verifies nothing.
     ///
-    /// Shared ancestors are verified once, not once per descendant, and
-    /// all MACs go through the batched SipHash pass. Bounded recovery's
-    /// touched-line re-verification is the primary caller.
-    ///
-    /// Never-written lines are skipped (they read as zeroes by
-    /// definition, with nothing stored off-chip to verify).
-    ///
     /// Duplicate or unsorted input lines are canonicalized (sorted,
-    /// deduplicated) first, so each line is checked exactly once and the
-    /// MAC count always equals [`SecureMemory::verify_lines_cost`] — the
-    /// invariant bounded recovery's crossover heuristic relies on.
+    /// deduplicated) first and shared ancestors are verified once, so
+    /// every line is checked exactly once; never-written lines are
+    /// skipped (they read as zeroes, with nothing stored off chip to
+    /// verify). Bounded recovery runs the same plan over its touched
+    /// lines.
     ///
     /// # Errors
     ///
     /// Returns the first [`IntegrityError`] found, identifying the
     /// failing line.
     pub fn verify_lines(&self, lines: &[u64]) -> Result<(), IntegrityError> {
-        let lines = crate::proof::canonical_lines(lines);
-        // Data MACs first (cheapest to gather: ciphertexts are borrowed
-        // straight from the store), in batches.
-        let mut batch: Vec<(u64, u64, &[u8; CACHELINE_BYTES])> =
-            Vec::with_capacity(VERIFY_BATCH);
-        let mut addrs: Vec<u64> = Vec::with_capacity(VERIFY_BATCH);
-        let mut tags = [MacTag(0); VERIFY_BATCH];
-        for chunk in lines.chunks(VERIFY_BATCH) {
-            batch.clear();
-            addrs.clear();
-            for &line in chunk {
-                assert!(line < self.geometry.data_lines(), "data line out of range");
-                if let Some(ciphertext) = self.data.get(line) {
-                    let addr = self.data_addr(line);
-                    batch.push((addr, self.counter_of(line), ciphertext));
-                    addrs.push(line);
-                }
-            }
-            self.charge(|ops| ops.mac_computes += batch.len() as u64);
-            self.mac_key.mac_lines_into(&batch, &mut tags[..batch.len()]);
-            for ((tag, &line), &(addr, _, _)) in
-                tags.iter().zip(&addrs).zip(&batch)
-            {
-                let Some(&stored) = self.data_macs.get(line) else {
-                    return Err(IntegrityError::MissingMac { line_addr: addr });
-                };
-                if stored != tag.0 {
-                    return Err(IntegrityError::DataMac { line_addr: addr });
-                }
-            }
-        }
-        // Ancestor counter lines, deduplicated across the whole batch.
-        let chain: Vec<(usize, u64)> = self.chain_lines_of(&lines).into_iter().collect();
-        self.verify_counter_batch(&chain)
+        VerifyPlan::lines(self, lines).run()
     }
 
     /// Batch-verifies `lines` and returns their plaintexts in **input
@@ -539,8 +449,8 @@ impl SecureMemory {
     /// [`SecureMemory::verify_lines`]: duplicates are verified and
     /// decrypted once, then fanned back out to their input positions.
     /// Never-written lines read as zeroes, as in [`SecureMemory::read`].
-    /// The crypto work charged is exactly
-    /// [`SecureMemory::verify_and_read_cost`].
+    /// The crypto work charged is the plan's cost in MACs plus one
+    /// decryption per unique present line.
     ///
     /// # Errors
     ///
@@ -550,140 +460,23 @@ impl SecureMemory {
         &self,
         lines: &[u64],
     ) -> Result<Vec<[u8; CACHELINE_BYTES]>, IntegrityError> {
-        let canonical = crate::proof::canonical_lines(lines);
-        self.verify_lines(&canonical)?;
-        // Decrypt each unique present line once.
-        let mut plaintexts: std::collections::BTreeMap<u64, [u8; CACHELINE_BYTES]> =
-            std::collections::BTreeMap::new();
-        for &line in &canonical {
-            if let Some(ciphertext) = self.data.get(line) {
-                let mut plaintext = [0u8; CACHELINE_BYTES];
-                self.cipher.decrypt_line_into(
-                    self.data_addr(line),
-                    self.counter_of(line),
-                    ciphertext,
-                    &mut plaintext,
-                );
-                plaintexts.insert(line, plaintext);
-            }
-        }
-        self.charge(|ops| ops.otp_decrypts += plaintexts.len() as u64);
+        // (line, key counter) of each unique present line, ascending.
+        let mut keyed = Vec::new();
+        VerifyPlan::lines(self, lines).run_with(|line, counter| keyed.push((line, counter)))?;
+        let plaintexts: Vec<(u64, [u8; CACHELINE_BYTES])> = keyed
+            .into_iter()
+            .filter_map(|(line, counter)| {
+                Some((line, self.open(line, counter, self.data.get(line)?)))
+            })
+            .collect();
         Ok(lines
             .iter()
             .map(|line| {
                 plaintexts
-                    .get(line)
-                    .copied()
-                    .unwrap_or([0u8; CACHELINE_BYTES])
+                    .binary_search_by_key(line, |&(l, _)| l)
+                    .map_or([0u8; CACHELINE_BYTES], |i| plaintexts[i].1)
             })
             .collect())
-    }
-
-    /// The exact crypto work [`SecureMemory::verify_and_read`] charges
-    /// for `lines`: [`SecureMemory::verify_lines_cost`] MAC checks plus
-    /// one counter-mode decryption per unique *present* line — cheap
-    /// integer work, pinned equal to the observed [`CryptoOps`] delta by
-    /// the accounting tests.
-    #[must_use]
-    pub fn verify_and_read_cost(&self, lines: &[u64]) -> CryptoOps {
-        let canonical = crate::proof::canonical_lines(lines);
-        CryptoOps {
-            otp_encrypts: 0,
-            otp_decrypts: canonical.iter().filter(|&&l| self.data.contains(l)).count() as u64,
-            mac_computes: self.verify_lines_cost(&canonical),
-        }
-    }
-
-    /// Batch-verifies the MACs of the given off-chip counter lines
-    /// (absent lines are skipped), in chunks of [`VERIFY_BATCH`] through
-    /// the interleaved SipHash pass.
-    fn verify_counter_batch(&self, entries: &[(usize, u64)]) -> Result<(), IntegrityError> {
-        let mut bodies = [[0u8; 64]; VERIFY_BATCH];
-        // (level, line_idx, line addr, parent-counter key, stored MAC).
-        let mut meta = [(0usize, 0u64, 0u64, 0u64, 0u64); VERIFY_BATCH];
-        let mut tags = [MacTag(0); VERIFY_BATCH];
-        for chunk in entries.chunks(VERIFY_BATCH) {
-            let mut count = 0;
-            for &(level, line_idx) in chunk {
-                let Some(line) = self.levels[level].get(line_idx) else {
-                    continue;
-                };
-                let parent_value = if level == self.geometry.top_level() {
-                    0
-                } else {
-                    let (parent_idx, slot) = self.geometry.parent_of(level + 1, line_idx);
-                    self.levels[level + 1]
-                        .get(parent_idx)
-                        .map_or(0, |parent| parent.get(slot))
-                };
-                bodies[count] = line.encode_for_mac();
-                meta[count] = (
-                    level,
-                    line_idx,
-                    self.geometry.line_addr(level, line_idx),
-                    parent_value,
-                    line.mac(),
-                );
-                count += 1;
-            }
-            self.charge(|ops| ops.mac_computes += count as u64);
-            let inputs: [(u64, u64, &[u8; 64]); VERIFY_BATCH] =
-                core::array::from_fn(|i| (meta[i].2, meta[i].3, &bodies[i]));
-            self.mac_key
-                .mac_lines_into(&inputs[..count], &mut tags[..count]);
-            for (tag, &(level, line_idx, _, _, stored)) in tags.iter().zip(&meta).take(count) {
-                if stored != tag.0 {
-                    return Err(IntegrityError::CounterMac { level, line_idx });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The deduplicated off-chip ancestor counter lines covering `lines`
-    /// (sorted `(level, line_idx)` pairs, top-level root excluded). The
-    /// proof subsystem uses the same `(level, line_idx)` keying for its
-    /// node deduplication.
-    pub(crate) fn chain_lines_of(&self, lines: &[u64]) -> std::collections::BTreeSet<(usize, u64)> {
-        let mut chain = std::collections::BTreeSet::new();
-        for &line in lines {
-            let mut child = line;
-            for level in 0..self.geometry.top_level() {
-                let (line_idx, _) = self.geometry.parent_of(level, child);
-                chain.insert((level, line_idx));
-                child = line_idx;
-            }
-        }
-        chain
-    }
-
-    /// Number of MAC checks [`SecureMemory::verify_lines`] would perform
-    /// for `lines` — cheap integer work, used by bounded recovery's
-    /// crossover heuristic to decide between the touched-line path and
-    /// [`SecureMemory::verify_all`].
-    ///
-    /// Canonicalizes (sorts, deduplicates) the input exactly like
-    /// [`SecureMemory::verify_lines`], so duplicate or unsorted line IDs
-    /// cannot make the integer cost disagree with the MACs actually
-    /// computed (the regression the cost-model tests pin).
-    pub fn verify_lines_cost(&self, lines: &[u64]) -> u64 {
-        let lines = crate::proof::canonical_lines(lines);
-        let data: u64 = lines.iter().filter(|&&l| self.data.contains(l)).count() as u64;
-        let chain = self
-            .chain_lines_of(&lines)
-            .iter()
-            .filter(|&&(level, line_idx)| self.levels[level].contains(line_idx))
-            .count() as u64;
-        data + chain
-    }
-
-    /// Number of MAC checks [`SecureMemory::verify_all`] performs (every
-    /// stored off-chip counter line plus every stored data line).
-    pub fn verify_all_cost(&self) -> u64 {
-        let counters: u64 = (0..self.geometry.top_level())
-            .map(|level| self.levels[level].len())
-            .sum();
-        counters + self.data.len()
     }
 
     // ------------------------------------------------------------------
@@ -786,12 +579,7 @@ impl SecureMemory {
         line_idx: u64,
         image: &[u8; CACHELINE_BYTES],
     ) -> Result<(), CodecError> {
-        let line = match self.config.org(level) {
-            CounterOrg::Split { arity } => {
-                Line::from(SplitLine::decode(SplitConfig::with_arity(arity), image))
-            }
-            CounterOrg::Morph(mode) => Line::from(MorphLine::decode(mode, image)?),
-        };
+        let line = self.config.org(level).decode_line(image)?;
         self.levels[level].insert(line_idx, line);
         Ok(())
     }
@@ -815,41 +603,7 @@ impl SecureMemory {
     /// Returns the first [`IntegrityError`] found, identifying the failing
     /// line.
     pub fn verify_all(&self) -> Result<(), IntegrityError> {
-        // Counter levels bottom-up, through the batched MAC pass.
-        for level in 0..self.geometry.top_level() {
-            let entries: Vec<(usize, u64)> = self.levels[level]
-                .iter()
-                .map(|(line_idx, _)| (level, line_idx))
-                .collect();
-            self.verify_counter_batch(&entries)?;
-        }
-        // Data lines, batched; ciphertexts are borrowed straight from the
-        // store so each batch is gather + one interleaved SipHash pass.
-        let mut batch: Vec<(u64, u64, &[u8; CACHELINE_BYTES])> =
-            Vec::with_capacity(VERIFY_BATCH);
-        let mut lines: Vec<u64> = Vec::with_capacity(VERIFY_BATCH);
-        let mut tags = [MacTag(0); VERIFY_BATCH];
-        let mut iter = self.data.iter().peekable();
-        while iter.peek().is_some() {
-            batch.clear();
-            lines.clear();
-            for (data_line, ciphertext) in iter.by_ref().take(VERIFY_BATCH) {
-                batch.push((self.data_addr(data_line), self.counter_of(data_line), ciphertext));
-                lines.push(data_line);
-            }
-            self.charge(|ops| ops.mac_computes += batch.len() as u64);
-            self.mac_key.mac_lines_into(&batch, &mut tags[..batch.len()]);
-            for ((tag, &data_line), &(addr, _, _)) in tags.iter().zip(&lines).zip(&batch) {
-                match self.data_macs.get(data_line) {
-                    None => return Err(IntegrityError::MissingMac { line_addr: addr }),
-                    Some(&stored) if stored != tag.0 => {
-                        return Err(IntegrityError::DataMac { line_addr: addr });
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        Ok(())
+        VerifyPlan::All(self).run()
     }
 
     // ------------------------------------------------------------------
@@ -1347,7 +1101,7 @@ mod tests {
     #[test]
     fn verify_lines_cost_matches_macs_for_duplicate_and_unsorted_input() {
         // Regression: duplicate or unsorted line IDs must not make the
-        // integer cost model disagree with the MACs verify_lines actually
+        // plan's cost disagree with the MACs verify_lines actually
         // computes — both canonicalize, each line is checked exactly once.
         for config in all_configs() {
             let name = config.name().to_string();
@@ -1357,12 +1111,12 @@ mod tests {
             }
             let messy = [9u64, 3, 9, 40, 3, 1000, 41, 9];
             let clean = [3u64, 9, 40, 41, 1000];
-            let cost = m.verify_lines_cost(&messy);
-            assert_eq!(cost, m.verify_lines_cost(&clean), "{name}");
+            let cost = VerifyPlan::lines(&m, &messy).cost();
+            assert_eq!(cost, VerifyPlan::lines(&m, &clean).cost(), "{name}");
             let before = m.crypto_ops().mac_computes;
             m.verify_lines(&messy).unwrap();
             let observed = m.crypto_ops().mac_computes - before;
-            assert_eq!(cost, observed, "{name}: cost model vs observed MACs");
+            assert_eq!(cost, observed, "{name}: plan cost vs observed MACs");
         }
     }
 
@@ -1397,9 +1151,9 @@ mod tests {
         assert_eq!(err, IntegrityError::DataMac { line_addr: 9 * 64 });
     }
 
-    /// Satellite: the bulk read path charges exactly the integer cost
-    /// model — `verify_lines_cost` MACs plus one decryption per unique
-    /// present line, regardless of duplicates, order, or absent lines.
+    /// The bulk read path charges exactly its plan's cost in MACs plus
+    /// one decryption per unique present line, regardless of duplicates,
+    /// order, or absent lines.
     #[test]
     fn verify_and_read_charges_exactly_its_cost_model() {
         for config in all_configs() {
@@ -1409,15 +1163,202 @@ mod tests {
                 m.write(line, &[0x2c; 64]);
             }
             let messy = [9u64, 3, 17, 9, 40, 3, 1000, 41, 9];
-            let cost = m.verify_and_read_cost(&messy);
-            assert_eq!(cost.otp_decrypts, 5, "{name}: one decrypt per unique present line");
-            assert_eq!(cost.mac_computes, m.verify_lines_cost(&messy), "{name}");
+            let macs = VerifyPlan::lines(&m, &messy).cost();
+            let decrypts = canonical_lines(&messy)
+                .iter()
+                .filter(|&&line| m.data.contains(line))
+                .count() as u64;
+            assert_eq!(decrypts, 5, "{name}: one decrypt per unique present line");
+            let before = m.crypto_ops();
+            m.verify_lines(&messy).unwrap();
+            let verify_lines_macs = m.crypto_ops().mac_computes - before.mac_computes;
+            assert_eq!(macs, verify_lines_macs, "{name}");
             let before = m.crypto_ops();
             m.verify_and_read(&messy).unwrap();
             let after = m.crypto_ops();
-            assert_eq!(after.mac_computes - before.mac_computes, cost.mac_computes, "{name}");
-            assert_eq!(after.otp_decrypts - before.otp_decrypts, cost.otp_decrypts, "{name}");
+            assert_eq!(after.mac_computes - before.mac_computes, macs, "{name}");
+            assert_eq!(after.otp_decrypts - before.otp_decrypts, decrypts, "{name}");
             assert_eq!(after.otp_encrypts, before.otp_encrypts, "{name}: reads never encrypt");
+        }
+    }
+
+    /// The crypto work between two [`CryptoOps`] readings.
+    fn delta(before: CryptoOps, after: CryptoOps) -> CryptoOps {
+        CryptoOps {
+            otp_encrypts: after.otp_encrypts - before.otp_encrypts,
+            otp_decrypts: after.otp_decrypts - before.otp_decrypts,
+            mac_computes: after.mac_computes - before.mac_computes,
+        }
+    }
+
+    /// On a clean memory every entry point charges exactly its plan's
+    /// cost, and each cost is pinned to a count taken from the stores
+    /// directly: a read MACs its data line plus each present off-chip
+    /// ancestor and decrypts once; `verify_all` MACs every stored
+    /// off-chip counter line and data line (bounded recovery's crossover
+    /// relies on that count).
+    #[test]
+    fn success_path_charges_exactly_the_plan_cost() {
+        for config in all_configs() {
+            let name = config.name().to_string();
+            let mut m = mem(config);
+            let written = [3u64, 9, 40, 41, 1000, 9000];
+            for line in written {
+                m.write(line, &[0x5e; 64]);
+            }
+            let top = m.geometry().top_level();
+            let present_ancestors = |m: &SecureMemory, line: u64| -> u64 {
+                let mut child = line;
+                let mut present = 0;
+                for level in 0..top {
+                    let (line_idx, _) = m.geometry().parent_of(level, child);
+                    present += u64::from(m.levels[level].contains(line_idx));
+                    child = line_idx;
+                }
+                present
+            };
+
+            for line in written {
+                let cost = VerifyPlan::Line(&m, line).cost();
+                assert_eq!(cost, 1 + present_ancestors(&m, line), "{name}: line {line}");
+                let before = m.crypto_ops();
+                m.read(line).unwrap();
+                let spent = delta(before, m.crypto_ops());
+                assert_eq!(
+                    spent,
+                    CryptoOps { otp_encrypts: 0, otp_decrypts: 1, mac_computes: cost },
+                    "{name}: read {line}"
+                );
+            }
+            // A never-written line reads as zeroes and touches no crypto.
+            let before = m.crypto_ops();
+            m.read(17).unwrap();
+            assert_eq!(m.crypto_ops(), before, "{name}: never-written read");
+
+            let lines = [9000u64, 3, 17, 40, 3];
+            let cost = VerifyPlan::lines(&m, &lines).cost();
+            let before = m.crypto_ops();
+            m.verify_lines(&lines).unwrap();
+            let spent = delta(before, m.crypto_ops());
+            assert_eq!(spent, CryptoOps { mac_computes: cost, ..CryptoOps::default() }, "{name}");
+
+            let stored = (0..top)
+                .map(|level| m.levels[level].iter().count() as u64)
+                .sum::<u64>()
+                + m.data.iter().count() as u64;
+            assert_eq!(VerifyPlan::All(&m).cost(), stored, "{name}");
+            let before = m.crypto_ops();
+            m.verify_all().unwrap();
+            let spent = delta(before, m.crypto_ops());
+            assert_eq!(spent, CryptoOps { mac_computes: stored, ..CryptoOps::default() }, "{name}");
+        }
+    }
+
+    /// A single tamper.
+    #[derive(Debug, Clone, Copy)]
+    enum Tamper {
+        Raw,
+        Mac,
+        CounterSlot,
+        CounterMac,
+        Splice,
+        Replay,
+    }
+
+    impl Tamper {
+        const ALL: [Tamper; 6] = [
+            Tamper::Raw,
+            Tamper::Mac,
+            Tamper::CounterSlot,
+            Tamper::CounterMac,
+            Tamper::Splice,
+            Tamper::Replay,
+        ];
+
+        /// Applies the tamper to `line` of `m`, whose neighbours `line + 1`
+        /// (written) and `line + 2` (never written) share its level-0
+        /// counter line. Returns the error every entry point must report.
+        fn apply(self, m: &mut SecureMemory, line: u64) -> IntegrityError {
+            let (line_idx, slot) = m.geometry().parent_of(0, line);
+            let counter_mac = IntegrityError::CounterMac { level: 0, line_idx };
+            let data_mac = IntegrityError::DataMac { line_addr: line * 64 };
+            match self {
+                Tamper::Raw => m.tamper_raw(line, 5, 0x10).map(|()| data_mac),
+                Tamper::Mac => m.tamper_mac(line, 1 << 7).map(|()| data_mac),
+                // A slot no written line uses: only the counter line's
+                // own MAC can fail.
+                Tamper::CounterSlot => {
+                    m.tamper_counter_slot(0, line_idx, slot + 2).map(|()| counter_mac)
+                }
+                Tamper::CounterMac => {
+                    m.tamper_counter_mac(0, line_idx, 0x8000).map(|()| counter_mac)
+                }
+                // Both lines fail; `line` is the lower, so every order
+                // meets it first.
+                Tamper::Splice => m.splice(line, line + 1).map(|()| data_mac),
+                Tamper::Replay => m.snapshot(line).map(|stale| {
+                    m.write(line, &[0xee; 64]);
+                    m.replay(stale);
+                    counter_mac
+                }),
+            }
+            .unwrap()
+        }
+    }
+
+    /// Every verification entry point of `m` reports `expect` for `line`.
+    fn assert_every_entry_point(m: &SecureMemory, line: u64, expect: &IntegrityError, what: &str) {
+        assert_eq!(&m.read(line).unwrap_err(), expect, "{what}: read");
+        assert_eq!(&m.verify_lines(&[line]).unwrap_err(), expect, "{what}: verify_lines");
+        assert_eq!(&m.verify_and_read(&[line]).unwrap_err(), expect, "{what}: verify_and_read");
+        assert_eq!(&m.verify_all().unwrap_err(), expect, "{what}: verify_all");
+    }
+
+    /// One tamper, every entry point: `read`, `verify_lines`,
+    /// `verify_and_read` and `verify_all`, serial and on a 2-shard
+    /// `ShardedMemory` (data addresses globalized), all report the same
+    /// error for the tampered line, and an untampered line under another
+    /// level-0 counter line still verifies.
+    #[test]
+    fn one_tamper_every_entry_point_reports_the_same_error() {
+        use crate::concurrent::ShardedMemory;
+        // In shard 1 of 2, at local line 128: a multiple of every
+        // level-0 arity, so lines `line + 1` and `line + 2` share its
+        // level-0 counter line and `line + 256` does not.
+        let line = MIB / 64 / 2 + 128;
+        let neighbour = line + 256;
+        for config in all_configs() {
+            for tamper in Tamper::ALL {
+                let what = format!("{} {tamper:?}", config.name());
+                let mut serial = mem(config.clone());
+                let mut sharded = ShardedMemory::new(config.clone(), MIB, [9u8; 16], 2).unwrap();
+                for l in [line, line + 1, neighbour] {
+                    serial.write(l, &[l as u8; 64]);
+                    sharded.write(l, &[l as u8; 64]);
+                }
+                let expect = tamper.apply(&mut serial, line);
+                assert_every_entry_point(&serial, line, &expect, &what);
+
+                let local = sharded.plan().local_line(line);
+                let expect_local = tamper.apply(sharded.shard_mut(1), local);
+                assert_every_entry_point(sharded.shard(1), local, &expect_local, &what);
+                let expect_global = match expect_local {
+                    IntegrityError::DataMac { .. } => expect,
+                    other => other,
+                };
+                assert_eq!(sharded.read(line).unwrap_err(), expect_global, "{what}: sharded read");
+                assert_eq!(sharded.verify_lines(&[line]).unwrap_err(), expect_global, "{what}");
+                assert_eq!(sharded.verify_and_read(&[line]).unwrap_err(), expect_global, "{what}");
+                assert_eq!(sharded.verify_all().unwrap_err(), expect_global, "{what}");
+
+                let clean = [neighbour as u8; 64];
+                assert_eq!(serial.read(neighbour).unwrap(), clean, "{what}: neighbour");
+                serial.verify_lines(&[neighbour]).unwrap();
+                assert_eq!(serial.verify_and_read(&[neighbour]).unwrap(), vec![clean], "{what}");
+                assert_eq!(sharded.read(neighbour).unwrap(), clean, "{what}: sharded neighbour");
+                sharded.verify_lines(&[neighbour]).unwrap();
+                assert_eq!(sharded.verify_and_read(&[neighbour]).unwrap(), vec![clean], "{what}");
+            }
         }
     }
 }

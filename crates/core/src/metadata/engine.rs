@@ -3,9 +3,7 @@
 
 use super::cache::{MetadataCache, ReplacementPolicy};
 use super::stats::{AccessCategory, EngineStats, MemAccess};
-use crate::counters::morph::MorphLine;
-use crate::counters::split::{SplitConfig, SplitLine};
-use crate::counters::{CounterLine, CounterOrg, IncrementOutcome, Line};
+use crate::counters::{CounterLine, IncrementOutcome, Line};
 use crate::error::CodecError;
 use crate::store::PagedStore;
 use crate::tree::{TreeConfig, TreeGeometry};
@@ -317,12 +315,7 @@ impl MetadataEngine {
         line_idx: u64,
         image: &[u8; CACHELINE_BYTES],
     ) -> Result<(), CodecError> {
-        let line = match self.config.org(level) {
-            CounterOrg::Split { arity } => {
-                Line::from(SplitLine::decode(SplitConfig::with_arity(arity), image))
-            }
-            CounterOrg::Morph(mode) => Line::from(MorphLine::decode(mode, image)?),
-        };
+        let line = self.config.org(level).decode_line(image)?;
         self.levels[level].insert(line_idx, line);
         Ok(())
     }

@@ -67,7 +67,7 @@ use morphtree_crypto::MacKey;
 use crate::concurrent::{fold_digests, Op, OpOutcome, ShardPlan, ShardedMemory};
 use crate::error::IntegrityError;
 use crate::error::ShardError;
-use crate::functional::{MutationJournal, SecureMemory};
+use crate::functional::{MutationJournal, SecureMemory, VerifyPlan};
 use crate::tree::TreeConfig;
 use crate::CACHELINE_BYTES;
 
@@ -243,10 +243,9 @@ impl std::fmt::Display for RecoveryMode {
 /// when nearly every stored line was touched (short history, dense
 /// suffix) the touched-line pass plus its deduplicated ancestor chains
 /// can exceed a plain bottom-up sweep. [`recover_bounded`] compares the
-/// two exact MAC counts ([`SecureMemory::verify_lines_cost`] vs
-/// [`SecureMemory::verify_all_cost`] — cheap integer work) and takes the
-/// cheaper pass, so bounded recovery is never slower than full
-/// verification.
+/// two verification plans' exact MAC counts (the touched lines' plan vs
+/// the whole-memory plan's — cheap integer work) and runs the cheaper
+/// one, so bounded recovery is never slower than full verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyStrategy {
     /// Clean shutdown: the sealed root pins everything, nothing re-proved.
@@ -388,13 +387,16 @@ pub fn recover_bounded(
             let touched_lines: Vec<u64> = touched.iter().copied().collect();
             let verify_strategy = if touched_lines.is_empty() {
                 VerifyStrategy::None
-            } else if mem.verify_lines_cost(&touched_lines) <= mem.verify_all_cost() {
-                mem.verify_lines(&touched_lines)
-                    .map_err(RecoveryError::Integrity)?;
-                VerifyStrategy::TouchedLines
             } else {
-                mem.verify_all().map_err(RecoveryError::Integrity)?;
-                VerifyStrategy::FullSweep
+                let lines_plan = VerifyPlan::lines(&mem, &touched_lines);
+                let all_plan = VerifyPlan::All(&mem);
+                let (plan, strategy) = if lines_plan.cost() <= all_plan.cost() {
+                    (lines_plan, VerifyStrategy::TouchedLines)
+                } else {
+                    (all_plan, VerifyStrategy::FullSweep)
+                };
+                plan.run().map_err(RecoveryError::Integrity)?;
+                strategy
             };
             let verified_lines = match verify_strategy {
                 VerifyStrategy::None => 0,
@@ -994,14 +996,16 @@ impl DegradedShardedMemory {
     /// # Errors
     ///
     /// The first [`IntegrityError`] across healthy shards, in shard order
-    /// (coordinates local to the failing shard).
+    /// (data coordinates globalized, as in [`ShardedMemory::verify_all`]).
     pub fn verify_healthy(&self) -> Result<(), IntegrityError> {
-        for s in 0..self.inner.plan().shards() {
-            if !self.quarantined.contains(&s) {
-                self.inner.shard(s).verify_all()?;
-            }
-        }
-        Ok(())
+        self.inner
+            .per_shard(|s, shard| {
+                if self.quarantined.contains(&s) {
+                    return Ok(());
+                }
+                shard.verify_all()
+            })
+            .map(|_| ())
     }
 
     /// The wrapped sharded memory. Note the combined root over a degraded
@@ -1396,6 +1400,28 @@ mod tests {
         let rec = recover_sharded_bounded(&container, &wals).unwrap();
         assert!(rec.mid_cut);
         assert_eq!(rec.resolved_epoch, 2, "every shard reached the epoch-2 state");
+    }
+
+    /// Regression: `verify_healthy` used to report shard-local data
+    /// addresses, while `ShardedMemory::verify_all` globalizes them.
+    #[test]
+    fn verify_healthy_names_global_line_addresses() {
+        let tampered = |quarantined: BTreeSet<usize>| {
+            let mut inner = ShardedMemory::new(TreeConfig::morphtree(), MIB, KEY, 2).unwrap();
+            let line = inner.plan().shard_base(1) + 5;
+            for l in [3, line] {
+                inner.write(l, &[0x4d; CACHELINE_BYTES]);
+            }
+            inner.tamper_raw(line, 0, 0x01).unwrap();
+            (line, DegradedShardedMemory::new(inner, quarantined))
+        };
+        let (line, degraded) = tampered(BTreeSet::new());
+        let expect = IntegrityError::DataMac { line_addr: line * CACHELINE_BYTES as u64 };
+        assert_eq!(degraded.memory().verify_all(), Err(expect.clone()));
+        assert_eq!(degraded.verify_healthy(), Err(expect));
+        // A quarantined shard is not audited.
+        let (_, degraded) = tampered(BTreeSet::from([1]));
+        assert_eq!(degraded.verify_healthy(), Ok(()));
     }
 
     #[test]

@@ -21,18 +21,20 @@
 //! - one entry per proven data line (sorted, deduplicated): line index,
 //!   64-byte ciphertext, stored 64-bit data MAC;
 //! - one entry per covering counter line (sorted, deduplicated by
-//!   `(level, line_idx)` — exactly the keying of the functional plane's
-//!   `chain_lines_of`, plus the top line): the 64-byte MAC-input image
-//!   (`encode_for_mac`) and the stored 64-bit MAC.
+//!   `(level, line_idx)` — exactly the ancestor set the functional
+//!   plane's verification plan checks for the same lines, plus the top
+//!   line): the 64-byte MAC-input image (`encode_for_mac`) and the stored
+//!   64-bit MAC.
 //!
 //! Verification rebuilds the geometry from the header, requires the node
 //! set to be *exactly* the chain the data lines need (nothing missing,
 //! nothing extra), decodes every counter body under the level's configured
 //! organization, recomputes every counter-line MAC keyed by its parent's
-//! decoded counter (top keyed 0) in one batched
-//! [`MacKey::mac_lines_into`] pass, recomputes every data MAC under the
-//! level-0 decoded counters, and finally checks that the top entry hashes
-//! to the published root (the same FNV digest as
+//! decoded counter (top keyed 0) and every data MAC under the level-0
+//! decoded counters through the functional plane's batched MAC runner
+//! (one [`MacKey::mac_lines_into`](morphtree_crypto::MacKey::mac_lines_into)
+//! call per chunk), and checks that the top entry hashes to the published
+//! root (the same FNV digest as
 //! [`SecureMemory::root_digest`]). The chain is closed: the root binds the
 //! top body, each body keys its children's MACs, and the level-0 bodies
 //! key the data MACs.
@@ -65,15 +67,15 @@ use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
-use morphtree_crypto::{CtrModeCipher, MacKey, MacTag};
+use morphtree_crypto::CtrModeCipher;
 
 use crate::concurrent::{fold_digests, ShardedMemory};
 use crate::concurrent::ShardPlan;
-use crate::counters::morph::MorphLine;
-use crate::counters::split::{SplitConfig, SplitLine};
 use crate::counters::{CounterLine, CounterOrg, Line};
 use crate::error::CodecError;
-use crate::functional::SecureMemory;
+use crate::functional::{
+    ancestors, canonical_lines, derive_mac_key, mac_batches, top_digest, SecureMemory,
+};
 use crate::persist::codec::{fnv1a, ByteReader, ByteWriter};
 use crate::persist::{read_config, write_config, MAX_MEMORY_BYTES};
 use crate::tree::{TreeConfig, TreeGeometry};
@@ -453,37 +455,13 @@ fn read_varint(r: &mut ByteReader<'_>) -> Result<u64, ProofError> {
 // Helpers shared by prove and verify.
 // ---------------------------------------------------------------------
 
-/// Sorted, deduplicated copy of a requested line set.
-pub(crate) fn canonical_lines(lines: &[u64]) -> Vec<u64> {
-    let mut uniq = lines.to_vec();
-    uniq.sort_unstable();
-    uniq.dedup();
-    uniq
-}
-
-/// The exact node set a proof for `lines` must carry: the deduplicated
-/// ancestor chain of every line (levels `0..top`) plus the top line —
-/// the same `(level, line_idx)` keying as the functional plane's
-/// `chain_lines_of`.
-fn required_nodes(geometry: &TreeGeometry, lines: &[u64]) -> BTreeSet<(usize, u64)> {
-    let mut keys = BTreeSet::new();
-    for &line in lines {
-        let mut child = line;
-        for level in 0..geometry.top_level() {
-            let (line_idx, _) = geometry.parent_of(level, child);
-            keys.insert((level, line_idx));
-            child = line_idx;
-        }
-    }
-    keys.insert((geometry.top_level(), 0));
-    keys
-}
-
-/// Domain-separated MAC key, mirroring [`SecureMemory::new`].
-fn mac_key_of(key: [u8; 16]) -> MacKey {
-    let mut seed = key;
-    seed[0] ^= 0x5a;
-    MacKey::new(seed)
+/// The exact node set a proof for `lines` must carry: their deduplicated
+/// ancestors (the set a verification plan checks for the same lines) plus
+/// the top line, ascending by `(level, line_idx)`.
+fn proof_nodes(geometry: &TreeGeometry, lines: &[u64]) -> Vec<(usize, u64)> {
+    let mut nodes = ancestors(geometry, lines);
+    nodes.push((geometry.top_level(), 0));
+    nodes
 }
 
 /// The supported split-counter arity range (power-of-two line layouts the
@@ -510,25 +488,6 @@ fn geometry_of(config: &TreeConfig, memory_bytes: u64) -> Result<TreeGeometry, P
         return Err(bad);
     }
     Ok(TreeGeometry::new(config, memory_bytes))
-}
-
-fn decode_node_line(
-    config: &TreeConfig,
-    node: &ProofNode,
-) -> Result<Line, ProofError> {
-    match config.org(node.level) {
-        CounterOrg::Split { arity } => Ok(Line::from(SplitLine::decode(
-            SplitConfig::with_arity(arity),
-            &node.body,
-        ))),
-        CounterOrg::Morph(mode) => MorphLine::decode(mode, &node.body)
-            .map(Line::from)
-            .map_err(|source| ProofError::BadNodeImage {
-                level: node.level,
-                line_idx: node.line_idx,
-                source,
-            }),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -563,7 +522,7 @@ impl SecureMemory {
             data.push(ProofData { line, ciphertext, mac });
         }
         let mut nodes = Vec::new();
-        for (level, line_idx) in required_nodes(geometry, &uniq) {
+        for (level, line_idx) in proof_nodes(geometry, &uniq) {
             // Every written line's full ancestor chain is materialized by
             // the write path; an absent node means the store was mutated
             // outside it, which a proof must not paper over.
@@ -601,20 +560,15 @@ impl ShardedMemory {
     pub fn prove(&mut self, lines: &[u64]) -> Result<ShardedProof, ProofError> {
         self.recombine();
         let plan = *self.plan();
-        let uniq = canonical_lines(lines);
-        if uniq.is_empty() {
+        if lines.is_empty() {
             return Err(ProofError::EmptyLineSet);
         }
-        let mut by_shard: Vec<Vec<u64>> = vec![Vec::new(); plan.shards()];
-        for &line in &uniq {
-            if line >= plan.data_lines() {
-                return Err(ProofError::LineOutOfRange { line });
-            }
-            let shard = plan.shard_of(line);
-            by_shard[shard].push(plan.local_line(line));
+        if let Some(&line) = lines.iter().filter(|&&line| line >= plan.data_lines()).min() {
+            return Err(ProofError::LineOutOfRange { line });
         }
         let mut subs = Vec::new();
-        for (shard, local) in by_shard.iter().enumerate() {
+        // Each shard's `prove` canonicalizes its bucket.
+        for (shard, local) in plan.bucket(lines).iter().enumerate() {
             if local.is_empty() {
                 continue;
             }
@@ -650,6 +604,12 @@ impl ShardedMemory {
 /// Returns the first [`ProofError`] found: structural violations (wrong
 /// node set, undecodable bodies), MAC mismatches, or a root mismatch.
 pub fn verify_proof(proof: &Proof, published_root: u64) -> Result<ProofStats, ProofError> {
+    verify_keyed(proof, published_root).map(|(stats, _)| stats)
+}
+
+/// [`verify_proof`], also returning each data entry's key counter (in
+/// entry order) as verification decoded it, for decryption.
+fn verify_keyed(proof: &Proof, published_root: u64) -> Result<(ProofStats, Vec<u64>), ProofError> {
     let geometry = geometry_of(&proof.config, proof.memory_bytes)?;
     if proof.data.is_empty() {
         return Err(ProofError::EmptyLineSet);
@@ -671,8 +631,8 @@ pub fn verify_proof(proof: &Proof, published_root: u64) -> Result<ProofStats, Pr
     }
 
     // The node set must be *exactly* the chain the data lines need.
-    let lines: Vec<u64> = proof.data.iter().map(|d| d.line).collect();
-    let required = required_nodes(&geometry, &lines);
+    let required: BTreeSet<(usize, u64)> =
+        proof_nodes(&geometry, &proof.lines()).into_iter().collect();
     let carried: BTreeSet<(usize, u64)> =
         proof.nodes.iter().map(|n| (n.level, n.line_idx)).collect();
     if let Some(&(level, line_idx)) = required.difference(&carried).next() {
@@ -684,10 +644,16 @@ pub fn verify_proof(proof: &Proof, published_root: u64) -> Result<ProofStats, Pr
 
     // Decode every node body under its level's organization; the decoded
     // counters key the child MACs below.
-    let mut decoded = Vec::with_capacity(proof.nodes.len());
-    for node in &proof.nodes {
-        decoded.push(decode_node_line(&proof.config, node)?);
-    }
+    let decoded = proof
+        .nodes
+        .iter()
+        .map(|node| {
+            let (level, line_idx) = (node.level, node.line_idx);
+            proof.config.org(level).decode_line(&node.body).map_err(|source| {
+                ProofError::BadNodeImage { level, line_idx, source }
+            })
+        })
+        .collect::<Result<Vec<Line>, ProofError>>()?;
     let node_at = |level: usize, line_idx: u64| -> usize {
         // The node list is sorted by (level, line_idx) and the set check
         // above guarantees presence.
@@ -700,62 +666,55 @@ pub fn verify_proof(proof: &Proof, published_root: u64) -> Result<ProofStats, Pr
     // The root binds the top entry (same digest as `root_digest`).
     let top_idx = node_at(geometry.top_level(), 0);
     let top = &proof.nodes[top_idx];
-    let mut image = [0u8; CACHELINE_BYTES + 8];
-    image[..CACHELINE_BYTES].copy_from_slice(&top.body);
-    image[CACHELINE_BYTES..].copy_from_slice(&top.mac.to_le_bytes());
-    let computed = fnv1a(&image);
+    let computed = top_digest(&top.body, top.mac);
     if computed != published_root {
         return Err(ProofError::RootMismatch { published: published_root, computed });
     }
 
-    // Counter-line MACs, keyed by the parent's decoded counter (top keyed
-    // 0), recomputed in one batched SipHash pass.
-    let mac_key = mac_key_of(proof.key);
-    let mut inputs: Vec<(u64, u64, &[u8; CACHELINE_BYTES])> =
-        Vec::with_capacity(proof.nodes.len());
-    for node in &proof.nodes {
-        let parent_value = if node.level == geometry.top_level() {
-            0
-        } else {
-            let (parent_idx, slot) = geometry.parent_of(node.level + 1, node.line_idx);
-            decoded[node_at(node.level + 1, parent_idx)].get(slot)
-        };
-        let addr = geometry.line_addr(node.level, node.line_idx);
-        inputs.push((addr, parent_value, &node.body));
-    }
-    let mut tags = vec![MacTag(0); inputs.len()];
-    mac_key.mac_lines_into(&inputs, &mut tags);
-    for (tag, node) in tags.iter().zip(&proof.nodes) {
-        if tag.0 != node.mac {
-            return Err(ProofError::NodeMacMismatch {
-                level: node.level,
-                line_idx: node.line_idx,
-            });
+    // Counter-line MACs keyed by the parent's decoded counter (top keyed
+    // 0), then data MACs keyed by the level-0 decoded counters.
+    let data_counters: Vec<u64> = proof
+        .data
+        .iter()
+        .map(|entry| {
+            let (line_idx, slot) = geometry.parent_of(0, entry.line);
+            decoded[node_at(0, line_idx)].get(slot)
+        })
+        .collect();
+    // Items `0..nodes` are the nodes, the rest the data entries.
+    let nodes = proof.nodes.len();
+    let gather = |i: usize, body: &mut [u8; CACHELINE_BYTES]| match proof.nodes.get(i) {
+        Some(node) => {
+            *body = node.body;
+            let counter = if node.level == geometry.top_level() {
+                0
+            } else {
+                let (parent_idx, slot) = geometry.parent_of(node.level + 1, node.line_idx);
+                decoded[node_at(node.level + 1, parent_idx)].get(slot)
+            };
+            Some((geometry.line_addr(node.level, node.line_idx), counter, Some(node.mac)))
         }
-    }
-
-    // Data MACs, keyed by the level-0 decoded counters.
-    let mut inputs: Vec<(u64, u64, &[u8; CACHELINE_BYTES])> =
-        Vec::with_capacity(proof.data.len());
-    for entry in &proof.data {
-        let (line_idx, slot) = geometry.parent_of(0, entry.line);
-        let counter = decoded[node_at(0, line_idx)].get(slot);
-        inputs.push((entry.line * CACHELINE_BYTES as u64, counter, &entry.ciphertext));
-    }
-    let mut tags = vec![MacTag(0); inputs.len()];
-    mac_key.mac_lines_into(&inputs, &mut tags);
-    for (tag, entry) in tags.iter().zip(&proof.data) {
-        if tag.0 != entry.mac {
-            return Err(ProofError::DataMacMismatch { line: entry.line });
+        None => {
+            let entry = &proof.data[i - nodes];
+            *body = entry.ciphertext;
+            let addr = entry.line * CACHELINE_BYTES as u64;
+            Some((addr, data_counters[i - nodes], Some(entry.mac)))
         }
-    }
+    };
+    let key = derive_mac_key(proof.key);
+    let (mac_computes, outcome) = mac_batches(&key, 0..nodes + proof.data.len(), gather);
+    outcome.map_err(|i| match proof.nodes.get(i) {
+        Some(node) => ProofError::NodeMacMismatch { level: node.level, line_idx: node.line_idx },
+        None => ProofError::DataMacMismatch { line: proof.data[i - nodes].line },
+    })?;
 
-    Ok(ProofStats {
+    let stats = ProofStats {
         data_lines: proof.data.len() as u64,
         nodes: proof.nodes.len() as u64,
-        mac_computes: (proof.nodes.len() + proof.data.len()) as u64,
+        mac_computes,
         shards: 0,
-    })
+    };
+    Ok((stats, data_counters))
 }
 
 /// Checks a [`ShardedProof`] against a published combined root (the
@@ -852,19 +811,13 @@ impl Proof {
         &self,
         published_root: u64,
     ) -> Result<Vec<(u64, [u8; CACHELINE_BYTES])>, ProofError> {
-        verify_proof(self, published_root)?;
-        let geometry = geometry_of(&self.config, self.memory_bytes)?;
+        let (_, counters) = verify_keyed(self, published_root)?;
         let cipher = CtrModeCipher::new(self.key);
-        self.data
+        Ok(self
+            .data
             .iter()
-            .map(|entry| {
-                let (line_idx, slot) = geometry.parent_of(0, entry.line);
-                let node = self
-                    .nodes
-                    .iter()
-                    .find(|n| n.level == 0 && n.line_idx == line_idx)
-                    .ok_or(ProofError::MissingNode { level: 0, line_idx })?;
-                let counter = decode_node_line(&self.config, node)?.get(slot);
+            .zip(counters)
+            .map(|(entry, counter)| {
                 let mut plaintext = [0u8; CACHELINE_BYTES];
                 cipher.decrypt_line_into(
                     entry.line * CACHELINE_BYTES as u64,
@@ -872,9 +825,9 @@ impl Proof {
                     &entry.ciphertext,
                     &mut plaintext,
                 );
-                Ok((entry.line, plaintext))
+                (entry.line, plaintext)
             })
-            .collect()
+            .collect())
     }
 }
 
