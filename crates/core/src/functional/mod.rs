@@ -263,11 +263,6 @@ impl SecureMemory {
         data_line * CACHELINE_BYTES as u64
     }
 
-    fn line_or_new(&mut self, level: usize, line_idx: u64) -> &mut Line {
-        let org = self.config.org(level);
-        self.levels[level].get_or_insert_with(line_idx, || org.new_line())
-    }
-
     /// The counter a metadata line's MAC is keyed by: the line's slot in
     /// its parent, or 0 for the top line, which lives in on-chip trusted
     /// storage.
@@ -281,18 +276,20 @@ impl SecureMemory {
             .map_or(0, |line| line.get(slot))
     }
 
-    /// Recomputes and stores the MAC of a metadata line.
+    /// MACs `body`, the image of the stored metadata line `line_idx` at
+    /// `level`, under `key` and stores the result beside the line.
     ///
-    /// Every counter-line mutation a write performs ends with a MAC refresh
-    /// of the touched line (increments in [`SecureMemory::bump`], overflow
-    /// child repairs), so this is the single choke point where counter
-    /// mutations reach the journal.
-    fn refresh_line_mac(&mut self, level: usize, line_idx: u64) {
-        let body = self.line_or_new(level, line_idx).encode_for_mac();
+    /// Every counter-line mutation a write performs ends here (increments
+    /// in [`SecureMemory::bump`], overflow child repairs), so this is the
+    /// single choke point where counter mutations reach the journal.
+    fn store_line_mac(&mut self, level: usize, line_idx: u64, key: u64, body: &[u8; CACHELINE_BYTES]) {
         let addr = self.geometry.line_addr(level, line_idx);
         self.charge(|ops| ops.mac_computes += 1);
-        let mac = self.mac_key.mac_line(addr, self.key_counter(level, line_idx), &body).0;
-        self.line_or_new(level, line_idx).set_mac(mac);
+        let mac = self.mac_key.mac_line(addr, key, body).0;
+        let Some(line) = self.levels[level].get_mut(line_idx) else {
+            unreachable!("a counter line is stored before its MAC")
+        };
+        line.set_mac(mac);
         if let Some(journal) = self.journal.as_mut() {
             journal.counter_lines.insert((level, line_idx));
         }
@@ -323,7 +320,9 @@ impl SecureMemory {
 
     /// Increments the counter at `level` covering `child_idx`, propagating
     /// to the parent and repairing all affected MACs / ciphertexts.
-    fn bump(&mut self, level: usize, child_idx: u64) {
+    /// Returns the incremented counter's new value: the key the child's
+    /// MAC is now computed under.
+    fn bump(&mut self, level: usize, child_idx: u64) -> u64 {
         let (line_idx, slot) = self.geometry.parent_of(level, child_idx);
         let arity = self.geometry.levels()[level].arity;
 
@@ -331,9 +330,15 @@ impl SecureMemory {
         // counters, so keep the pre-increment line there. It is read only
         // when the increment overflows; upper levels re-MAC their children
         // from the new counters and need no copy.
-        let line = self.line_or_new(level, line_idx);
+        let org = self.config.org(level);
+        let line = self.levels[level].get_or_insert_with(line_idx, || org.new_line());
         let before = (level == 0).then(|| line.clone());
         let outcome = line.increment(slot);
+        // Nothing below changes this line's body: overflow repairs touch
+        // its children, the bump above touches its parent, and a parent
+        // overflow only re-MACs it.
+        let counter = line.get(slot);
+        let body = line.encode_for_mac();
 
         if let IncrementOutcome::Overflow(event) = outcome {
             let children_total: u64 = if level == 0 {
@@ -348,31 +353,33 @@ impl SecureMemory {
                 }
                 if let Some(before) = &before {
                     self.reencrypt_data_child(child, before.get(s));
-                } else {
+                } else if let Some(child_line) = self.levels[level - 1].get(child) {
                     // Child counter line's MAC is keyed by its (changed)
                     // parent counter: recompute it.
-                    if self.levels[level - 1].contains(child) {
-                        self.refresh_line_mac(level - 1, child);
-                        self.reencryptions += 1;
-                    }
+                    let body = child_line.encode_for_mac();
+                    let key = self.key_counter(level - 1, child);
+                    self.store_line_mac(level - 1, child, key, &body);
+                    self.reencryptions += 1;
                 }
             }
         }
 
         // Propagate the write upward (replay protection: the parent counter
         // must advance whenever this line changes), then re-MAC this line
-        // under the new parent value.
-        if level < self.geometry.top_level() {
-            self.bump(level + 1, line_idx);
-        }
-        self.refresh_line_mac(level, line_idx);
+        // under the new parent value; the on-chip top line is keyed by 0.
+        let key = if level < self.geometry.top_level() {
+            self.bump(level + 1, line_idx)
+        } else {
+            0
+        };
+        self.store_line_mac(level, line_idx, key, &body);
+        counter
     }
 
     /// Writes a plaintext line.
     pub fn write(&mut self, data_line: u64, plaintext: &[u8; CACHELINE_BYTES]) {
         assert!(data_line < self.geometry.data_lines(), "data line out of range");
-        self.bump(0, data_line);
-        let counter = self.counter_of(data_line);
+        let counter = self.bump(0, data_line);
         let addr = self.data_addr(data_line);
         self.charge(|ops| {
             ops.otp_encrypts += 1;
@@ -1089,6 +1096,27 @@ mod tests {
         m.write(0, &[3; 64]);
         assert_eq!(m.read(1).unwrap(), [2; 64]);
         assert_eq!(m.read(0).unwrap(), [3; 64]);
+    }
+
+    /// The largest memory a snapshot header may declare allocates no
+    /// store until a line is written, and then only that line's pages
+    /// and the spine up to them: `load_memory` builds it straight after
+    /// a header check.
+    #[test]
+    fn the_largest_memory_allocates_only_the_lines_written() {
+        let bytes = crate::persist::MAX_MEMORY_BYTES;
+        let mut m = SecureMemory::new(TreeConfig::morphtree(), bytes, [9u8; 16]);
+        let stores = |m: &SecureMemory| {
+            let levels = m.levels.iter().map(PagedStore::allocated_pages).sum::<usize>();
+            levels + m.data.allocated_pages() + m.data_macs.allocated_pages()
+        };
+        assert_eq!(stores(&m), 0);
+        m.write(5, &[7; 64]);
+        let copy = m.clone();
+        assert_eq!(copy.read(5).unwrap(), [7; 64]);
+        // One page per store: the data, its MACs and every level's line.
+        assert_eq!(stores(&copy), 2 + m.geometry().levels().len());
+        m.verify_all().unwrap();
     }
 
     #[test]

@@ -22,6 +22,7 @@ use morphtree_crypto::{MacKey, MacTag};
 use super::SecureMemory;
 use crate::counters::CounterLine;
 use crate::error::IntegrityError;
+use crate::store::PagedStore;
 use crate::tree::TreeGeometry;
 use crate::CACHELINE_BYTES;
 
@@ -190,21 +191,26 @@ impl<'m> VerifyPlan<'m> {
     }
 
     /// The number of present checks: exactly the MACs a successful
-    /// [`run`](VerifyPlan::run) computes.
+    /// [`run`](VerifyPlan::run) computes. Every check of
+    /// [`VerifyPlan::All`] is present, so its cost is the stores' counts.
     pub(crate) fn cost(&self) -> u64 {
         let mem = self.mem();
         let present = |check: &Check| match *check {
             Check::Data(line) => mem.data.contains(line),
             Check::Counter { level, line_idx } => mem.levels[level].contains(line_idx),
         };
-        let count = match self {
-            VerifyPlan::Line(_, line) => line_checks(&mem.geometry, *line).filter(present).count(),
-            VerifyPlan::Lines(_, data, ancestors) => {
-                listed_checks(data, ancestors).filter(present).count()
+        match self {
+            VerifyPlan::Line(_, line) => {
+                line_checks(&mem.geometry, *line).filter(present).count() as u64
             }
-            VerifyPlan::All(_) => all_checks(mem).filter(present).count(),
-        };
-        count as u64
+            VerifyPlan::Lines(_, data, ancestors) => {
+                listed_checks(data, ancestors).filter(present).count() as u64
+            }
+            VerifyPlan::All(_) => {
+                let levels = &mem.levels[..mem.geometry.top_level()];
+                levels.iter().map(PagedStore::len).sum::<u64>() + mem.data.len()
+            }
+        }
     }
 
     /// Runs every present check, charging the MACs computed, and returns

@@ -1,0 +1,111 @@
+#!/usr/bin/env bash
+# Runs one benchmark workload in alternated pairs on two source trees and
+# summarizes the end-to-end metrics.
+#
+#   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [extra args]
+#
+# Each side runs the `command` of its own tree's BENCHMARK.json from that
+# tree, with `--workload WORKLOAD --seed N --trace 0` plus the extra args
+# (for example `--seconds 5` or `--scale smoke`). Pair i uses seed
+# FIRST_SEED + i - 1 (FIRST_SEED defaults to 1) on both sides. The side
+# that runs first flips every pair: the parent leads odd pairs, the change
+# even ones.
+#
+# Prints one row per pair (each side's end-to-end metrics and failed
+# count), then per metric each side's median and quartiles and the number
+# of pairs the change won (ties count for neither side; "better" comes
+# from BENCHMARK.json). Exits 1 when any run reports a failed check or an
+# incorrect result.
+set -euo pipefail
+
+if [ $# -lt 4 ]; then
+  echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [extra args]" >&2
+  exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+workload=$3
+pairs=$4
+shift 4
+first_seed=${FIRST_SEED:-1}
+
+# Each tree builds into its own target directory; a shared one would
+# rebuild on every switch of side.
+unset CARGO_TARGET_DIR
+
+spec="$change/BENCHMARK.json"
+results=$(mktemp)
+trap 'rm -f "$results"' EXIT
+
+# run_side SIDE DIR SEED [extra args]: one run; appends
+# {side, seed, status, result} to $results.
+run_side() {
+  local side=$1 dir=$2 seed=$3 out last status=0
+  shift 3
+  local -a command
+  mapfile -t command < <(jq -r '.command[]' "$dir/BENCHMARK.json")
+  out=$(cd "$dir" && "${command[@]}" --workload "$workload" --seed "$seed" --trace 0 "$@") \
+    || status=$?
+  # The last stdout line is the run's result object.
+  last=$(printf '%s\n' "$out" | tail -n 1)
+  if ! jq -e 'type == "object"' <<< "$last" > /dev/null 2>&1; then
+    echo "$side run (seed $seed) printed no result" >&2
+    exit 1
+  fi
+  jq -c --arg side "$side" --argjson seed "$seed" --argjson status "$status" \
+    '{side: $side, seed: $seed, status: $status, result: .}' <<< "$last" >> "$results"
+}
+
+for ((i = 1; i <= pairs; i++)); do
+  seed=$((first_seed + i - 1))
+  if ((i % 2 == 1)); then
+    run_side parent "$parent" "$seed" "$@"
+    run_side change "$change" "$seed" "$@"
+  else
+    run_side change "$change" "$seed" "$@"
+    run_side parent "$parent" "$seed" "$@"
+  fi
+done
+
+jq -r -s --slurpfile spec "$spec" --arg workload "$workload" '
+  # Linear-interpolated quantile of a numeric array.
+  def quantile($p):
+    sort as $s | ((($s | length) - 1) * $p) as $x | ($x | floor) as $i
+    | if $i + 1 < ($s | length) then $s[$i] + ($s[$i + 1] - $s[$i]) * ($x - $i) else $s[$i] end;
+  def fmt: if . == null then "-"
+           elif fabs >= 1000 then . * 10 | round / 10 | tostring
+           elif fabs >= 1 then . * 1000 | round / 1000 | tostring
+           else . * 1e6 | round / 1e6 | tostring end;
+  ($spec[0].end_to_end) as $metrics
+  | (map(select(.side == "parent")) | sort_by(.seed)) as $p
+  | (map(select(.side == "change")) | sort_by(.seed)) as $c
+  | ([range(0; $p | length)] | map({seed: $p[.].seed, parent: $p[.].result, change: $c[.].result})) as $pairs
+  | "workload \($workload), \($pairs | length) pair(s)",
+    (["pair", "seed", "side"] + ($metrics | map(.name)) + ["failed"] | join("\t")),
+    ($pairs | to_entries[] | .key as $k | .value as $pair
+      | ("parent", "change") as $side
+      | [($k + 1 | tostring), ($pair.seed | tostring), $side]
+        + ($metrics | map($pair[$side].metrics[.name].value | fmt))
+        + [($pair[$side].failed | fmt)]
+      | join("\t")),
+    "",
+    (["metric", "better", "parent_q1", "parent_median", "parent_q3",
+      "change_q1", "change_median", "change_q3", "change_wins"] | join("\t")),
+    ($metrics[] | .name as $m | .better as $better
+      | ($pairs | map(.parent.metrics[$m].value)) as $pv
+      | ($pairs | map(.change.metrics[$m].value)) as $cv
+      | ($pairs | map(select(
+          if $better == "lower" then .change.metrics[$m].value < .parent.metrics[$m].value
+          else .change.metrics[$m].value > .parent.metrics[$m].value end)) | length) as $wins
+      | [$m, $better,
+         ($pv | quantile(0.25) | fmt), ($pv | quantile(0.5) | fmt), ($pv | quantile(0.75) | fmt),
+         ($cv | quantile(0.25) | fmt), ($cv | quantile(0.5) | fmt), ($cv | quantile(0.75) | fmt),
+         "\($wins)/\($pairs | length)"]
+      | join("\t")),
+    "",
+    "failed: parent \($pairs | map(.parent.failed) | add), change \($pairs | map(.change.failed) | add)"
+' "$results"
+
+# Any failed check, incorrect result or non-zero exit fails the script.
+jq -e -s 'all(.[]; .status == 0 and .result.correct == true and .result.failed == 0)' \
+  "$results" > /dev/null
