@@ -7,9 +7,6 @@
 //! - `capture` / `replay` — record a workload to an `MTRC` trace file and
 //!   drive the simulator from it;
 //! - `sweep` — regenerate paper figures with the parallel sweep engine;
-//! - `perf` — pinned performance suite over the hot paths (counter
-//!   increments, one-time pads, engine reads/writes, one figure sweep),
-//!   written to `BENCH.json` with speedups versus in-process baselines;
 //! - `attack` — seeded fault-injection campaign against the functional
 //!   model: randomized tamper/replay/splice attacks on every tree config,
 //!   asserting 100% detection at the right tree location;
@@ -39,7 +36,7 @@
 //!   summary;
 //! - `list` — available workloads and tree configurations.
 //!
-//! `simulate`, `sweep`, `attack` and `perf` accept `--metrics PATH` to
+//! `simulate`, `sweep` and `attack` accept `--metrics PATH` to
 //! dump an observability report (see [`metrics`]): histogram-backed DRAM
 //! latencies, per-level metadata-cache activity, crypto-op counts, and
 //! energy gauges, in one deterministic JSON schema.
@@ -61,7 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod perf;
 pub mod serve;
 
 use std::collections::HashMap;
@@ -244,8 +240,6 @@ pub fn usage() -> String {
      \x20           [--root-out FILE] [--metrics FILE]\n\
      \x20 verify-proof --proof FILE --root HEX | --root-file FILE\n\
      \x20           [--metrics FILE]\n\
-     \x20 perf      [--out BENCH.json] [--quick 1] [--recovery 1] [--metrics FILE]\n\
-     \x20           [--gate BASELINE.json]\n\
      \x20 serve     [--threads 1] [--shards 0=threads] [--ops 100000] [--batch 8192]\n\
      \x20           [--memory-mib 256] [--hot-lines 8192] [--write-pct 80]\n\
      \x20           [--config morph] [--seed 42] [--verify 0] [--metrics FILE]\n\
@@ -287,7 +281,6 @@ pub fn run(command: &str, args: &[String]) -> Result<String, CliError> {
         "recover" => cmd_recover(&flags),
         "prove" => cmd_prove(&flags),
         "verify-proof" => cmd_verify_proof(&flags),
-        "perf" => perf::cmd_perf(&flags),
         "serve" => serve::cmd_serve(&flags),
         "attack" => cmd_attack(&flags),
         "crash-campaign" => cmd_crash_campaign(&flags),
@@ -844,7 +837,7 @@ fn parse_root_hex(spec: &str) -> Result<u64, CliError> {
 }
 
 /// Records the deterministic size/coverage facts of a proof. No
-/// wall-clock here — verification *timing* belongs to `morphtree perf`.
+/// wall-clock here: metrics files stay deterministic.
 fn proof_metrics(path: &str, encoded_len: usize, stats: &ProofStats) -> Result<(), CliError> {
     let mut reg = MetricsRegistry::new();
     reg.counter_set("proof.bytes", encoded_len as u64);

@@ -27,7 +27,7 @@
 //! and the level-aware policy evicts the minimum `(priority, timestamp)`
 //! — the same line the seed's "first of equal minima in LRU order"
 //! picked. The golden-equivalence suite pins this against the frozen
-//! seed cache inside `super::reference`.
+//! seed cache of the dev-only `morphtree-oracle` crate.
 
 use crate::CACHELINE_BYTES;
 

@@ -21,10 +21,8 @@
 
 pub mod cache;
 pub mod engine;
-pub mod reference;
 pub mod stats;
 
 pub use cache::{CacheStats, MetadataCache, ReplacementPolicy, STAT_LEVELS};
 pub use engine::{EngineOptions, MacMode, MetadataEngine, VerificationMode};
-pub use reference::ReferenceEngine;
 pub use stats::{AccessCategory, EngineStats, MemAccess};

@@ -390,6 +390,19 @@ pub(crate) fn read_section<'a>(
     Ok(ByteReader::new(payload))
 }
 
+/// Admits the next entry of an indexed section (`SEC_DATA`, `SEC_MACS`,
+/// one level of `SEC_LEVELS`) only if its in-range `index` lies past the
+/// previous entry's; `next` starts at 0. Writers emit strictly ascending
+/// indices (`PagedStore::iter`), so a descending or repeated index is a
+/// non-canonical image: refused, not inserted wherever it says.
+pub(crate) fn ascending(next: &mut u64, index: u64, offset: usize) -> Result<(), RecoveryError> {
+    if index < *next {
+        return Err(RecoveryError::CorruptSnapshot { offset });
+    }
+    *next = index + 1;
+    Ok(())
+}
+
 /// A fully-consumed section: trailing payload bytes are corruption.
 fn expect_exhausted(r: &ByteReader<'_>) -> Result<(), RecoveryError> {
     if r.is_exhausted() {
@@ -459,7 +472,8 @@ pub fn save_memory(mem: &SecureMemory) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a [`RecoveryError`] describing the first problem found: bad
-/// magic or version, truncation, checksum mismatch, structural corruption,
+/// magic or version, truncation, checksum mismatch, structural corruption
+/// (including indices that do not strictly ascend within a section),
 /// out-of-range indices, or undecodable counter images.
 pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
     let mut r = ByteReader::new(bytes);
@@ -496,24 +510,30 @@ pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
 
     let mut sec = read_section(&mut r, SEC_DATA)?;
     let count = sec.u64()?;
+    let mut next = 0;
     for _ in 0..count {
+        let offset = sec.offset();
         let line = sec.u64()?;
         let ciphertext = sec.line()?;
         if line >= mem.geometry().data_lines() {
             return Err(RecoveryError::DataLineOutOfRange { line });
         }
+        ascending(&mut next, line, offset)?;
         mem.restore_ciphertext(line, ciphertext);
     }
     expect_exhausted(&sec)?;
 
     let mut sec = read_section(&mut r, SEC_MACS)?;
     let count = sec.u64()?;
+    let mut next = 0;
     for _ in 0..count {
+        let offset = sec.offset();
         let line = sec.u64()?;
         let mac = sec.u64()?;
         if line >= mem.geometry().data_lines() {
             return Err(RecoveryError::DataLineOutOfRange { line });
         }
+        ascending(&mut next, line, offset)?;
         mem.restore_mac(line, mac);
     }
     expect_exhausted(&sec)?;
@@ -527,12 +547,15 @@ pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
     for level in 0..n_levels {
         let count = sec.u64()?;
         let level_lines = mem.geometry().levels()[level].lines;
+        let mut next = 0;
         for _ in 0..count {
+            let offset = sec.offset();
             let line_idx = sec.u64()?;
             let image = sec.line()?;
             if line_idx >= level_lines {
                 return Err(RecoveryError::CounterLineOutOfRange { level, line_idx });
             }
+            ascending(&mut next, line_idx, offset)?;
             mem.restore_counter_line(level, line_idx, &image)
                 .map_err(RecoveryError::MalformedLine)?;
         }
@@ -1033,6 +1056,139 @@ mod tests {
             recover(&snap, &[]).unwrap_err(),
             RecoveryError::MalformedLine(CodecError::NonCanonical { bit: 300 })
         );
+    }
+
+    /// `image` (an `MTSN` or `MTEN` file) with the payload of section
+    /// `tag` replaced by `payload` and the section's checksum re-sealed.
+    fn with_section(image: &[u8], tag: u32, payload: &[u8]) -> Vec<u8> {
+        let mut out = image[..MAGIC.len() + 4].to_vec();
+        let mut at = out.len();
+        while at < image.len() {
+            let this = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+            let len = u64::from_le_bytes(image[at + 4..at + 12].try_into().unwrap()) as usize;
+            let body = &image[at + 12..at + 12 + len];
+            write_section(&mut out, this, if this == tag { payload } else { body });
+            at += 12 + len + 8;
+        }
+        out
+    }
+
+    /// One indexed run as the writers frame it: count, then each index
+    /// followed by its bytes.
+    fn indexed(w: &mut ByteWriter, entries: &[(u64, Vec<u8>)]) {
+        w.u64(entries.len() as u64);
+        for (index, bytes) in entries {
+            w.u64(*index);
+            w.bytes(bytes);
+        }
+    }
+
+    fn levels_payload(levels: &[Vec<(u64, Vec<u8>)>]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u32(levels.len() as u32);
+        for entries in levels {
+            indexed(&mut w, entries);
+        }
+        w.into_bytes()
+    }
+
+    fn level_entries(stores: &[crate::store::PagedStore<crate::counters::Line>]) -> Vec<Vec<(u64, Vec<u8>)>> {
+        stores
+            .iter()
+            .map(|store| store.iter().map(|(i, line)| (i, line.encode().to_vec())).collect())
+            .collect()
+    }
+
+    #[test]
+    fn out_of_order_and_duplicate_indices_are_refused() {
+        // Each forged section differs from the writer's only in entry
+        // order: the ascending rebuild reproduces the file byte for byte,
+        // and both forgeries trip at the second entry.
+        let mut mem = SecureMemory::new(TreeConfig::morphtree(), MIB, KEY);
+        for i in 0..40u64 {
+            mem.write(i * 300, &[i as u8; CACHELINE_BYTES]);
+        }
+        let snap = save_memory(&mem);
+        let data: Vec<(u64, Vec<u8>)> =
+            mem.data_store().iter().map(|(i, c)| (i, c.to_vec())).collect();
+        let macs: Vec<(u64, Vec<u8>)> =
+            mem.mac_store().iter().map(|(i, m)| (i, m.to_le_bytes().to_vec())).collect();
+        let levels = level_entries(mem.level_stores());
+        assert!(data.len() > 1 && macs.len() > 1 && levels[0].len() > 1);
+
+        let descending = |mut entries: Vec<(u64, Vec<u8>)>| {
+            entries.reverse();
+            entries
+        };
+        let duplicated = |mut entries: Vec<(u64, Vec<u8>)>| {
+            entries.insert(1, entries[0].clone());
+            entries
+        };
+        let flat = |entries: &[(u64, Vec<u8>)]| {
+            let mut w = ByteWriter::new();
+            indexed(&mut w, entries);
+            w.into_bytes()
+        };
+        let with_level0 = |levels: &[Vec<(u64, Vec<u8>)>], entries| {
+            let mut levels = levels.to_vec();
+            levels[0] = entries;
+            levels_payload(&levels)
+        };
+        // The offending index sits after the count (and level count) and
+        // one whole entry.
+        let cases = [
+            (SEC_DATA, flat(&data), flat(&descending(data.clone())), 8 + 72),
+            (SEC_DATA, flat(&data), flat(&duplicated(data.clone())), 8 + 72),
+            (SEC_MACS, flat(&macs), flat(&descending(macs.clone())), 8 + 16),
+            (SEC_MACS, flat(&macs), flat(&duplicated(macs.clone())), 8 + 16),
+            (
+                SEC_LEVELS,
+                levels_payload(&levels),
+                with_level0(&levels, descending(levels[0].clone())),
+                4 + 8 + 72,
+            ),
+            (
+                SEC_LEVELS,
+                levels_payload(&levels),
+                with_level0(&levels, duplicated(levels[0].clone())),
+                4 + 8 + 72,
+            ),
+        ];
+        for (tag, canonical, forged, offset) in cases {
+            assert_eq!(with_section(&snap, tag, &canonical), snap);
+            let forged = with_section(&snap, tag, &forged);
+            assert_eq!(
+                load_memory(&forged).unwrap_err(),
+                RecoveryError::CorruptSnapshot { offset },
+                "section {tag}",
+            );
+            assert!(recover(&forged, &[]).is_err(), "section {tag}");
+        }
+
+        // The metadata engine's level section follows the same rule.
+        let mut engine = crate::metadata::MetadataEngine::new(
+            TreeConfig::morphtree(),
+            MIB,
+            4096,
+            crate::metadata::MacMode::Inline,
+        );
+        let mut out = Vec::new();
+        for line in 0..64u64 {
+            engine.write(line * 200, &mut out);
+        }
+        let image = engine::save_engine(&engine);
+        let levels = level_entries(engine.level_stores());
+        assert!(levels[0].len() > 1);
+        assert_eq!(with_section(&image, SEC_LEVELS, &levels_payload(&levels)), image);
+        for forged in [
+            with_level0(&levels, descending(levels[0].clone())),
+            with_level0(&levels, duplicated(levels[0].clone())),
+        ] {
+            assert_eq!(
+                engine::load_engine(&with_section(&image, SEC_LEVELS, &forged)).unwrap_err(),
+                RecoveryError::CorruptSnapshot { offset: 4 + 8 + 72 },
+            );
+        }
     }
 
     fn populated_sharded(shards: usize) -> ShardedMemory {

@@ -43,7 +43,7 @@
 //! — so proof size grows sub-linearly in the line count, and *shrinks*
 //! with tree arity: a 128-ary MorphTree needs fewer levels than the SC-64
 //! baseline for the same memory, the paper-unevaluated result the
-//! `morphtree perf` proof sweep records.
+//! `proof_roundtrip` integration test pins byte for byte.
 //!
 //! [`ShardedMemory::prove`] composes per-shard sub-proofs under the
 //! coalesced top: a [`ShardedProof`] carries the full per-shard digest
@@ -394,7 +394,7 @@ pub enum AnyProof {
 }
 
 /// Deterministic size/coverage facts about a verified proof, for the
-/// metrics plane (no wall-clock here — timing belongs to `morphtree perf`).
+/// metrics plane (no wall-clock here: metrics stay deterministic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProofStats {
     /// Data lines the proof covers.

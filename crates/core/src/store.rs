@@ -41,7 +41,7 @@
 //! [`PagedStore`] mirrors the small `HashMap` API subset the engine uses
 //! (`get` / `get_mut` / `insert` / `take` / `get_or_insert_with`), and
 //! the golden suite proves the engine's behaviour unchanged against the
-//! frozen [`crate::metadata::reference::ReferenceEngine`].
+//! frozen `ReferenceEngine` of the dev-only `morphtree-oracle` crate.
 
 /// Slots per page.
 ///

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use morphtree_core::concurrent::ShardedMemory;
 use morphtree_core::functional::SecureMemory;
-use morphtree_core::proof::{decode_proof, verify_any_proof, AnyProof};
+use morphtree_core::proof::{decode_proof, verify_any_proof, verify_proof, AnyProof};
 use morphtree_core::tree::TreeConfig;
 
 const KEY: [u8; 16] = [0x33; 16];
@@ -100,6 +100,50 @@ fn sharded_and_serial_proofs_agree_with_the_lockstep_oracle() {
     // Both encodings survive a decode round-trip byte-identically.
     for encoded in [serial_proof.encode(), sharded_proof.encode()] {
         assert_eq!(decode_proof(&encoded).unwrap().encode(), encoded);
+    }
+}
+
+#[test]
+fn proof_sizes_are_pinned_and_morphable_trees_beat_sc64() {
+    // Proof size is structural: for a fixed image and line set, the
+    // encoded bytes, carried nodes and verifier MACs depend only on the
+    // tree config. Eight lines over a 1 MiB image with 512 lines written,
+    // under each evaluated config. The 128-ary morphable trees cover
+    // them with fewer, shorter chains than 64-ary SC-64.
+    const PROVED: [u64; 8] = [0, 3, 60, 177, 300, 333, 409, 511];
+    let expected: [(&str, usize, u64, u64); 5] = [
+        ("sc64", 1234, 8, 16),
+        ("vault", 1239, 8, 16),
+        ("zcc", 1024, 5, 13),
+        ("mcr", 1027, 5, 13),
+        ("morphtree", 1013, 5, 13),
+    ];
+    let configs = morphtree_core::attack::campaign_configs();
+    assert_eq!(configs.len(), expected.len(), "one pin per evaluated config");
+    let mut sizes = Vec::new();
+    for ((name, config), (want_name, want_bytes, want_nodes, want_macs)) in
+        configs.into_iter().zip(expected)
+    {
+        assert_eq!(name, want_name);
+        let mut memory = SecureMemory::new(config, 1 << 20, [0x61; 16]);
+        let mut line_payload = [0u8; 64];
+        for line in 0..512u64 {
+            line_payload[..8].copy_from_slice(&line.wrapping_mul(0x9e37).to_le_bytes());
+            memory.write(line, &line_payload);
+        }
+        let proof = memory.prove(&PROVED).unwrap();
+        let stats = verify_proof(&proof, memory.root_digest()).unwrap();
+        let bytes = proof.encode().len();
+        assert_eq!(
+            (bytes, stats.nodes, stats.mac_computes),
+            (want_bytes, want_nodes, want_macs),
+            "{name}: (proof bytes, nodes, MAC computes)",
+        );
+        sizes.push((name, bytes));
+    }
+    let size_of = |key: &str| sizes.iter().find(|(name, _)| *name == key).unwrap().1;
+    for key in ["zcc", "mcr", "morphtree"] {
+        assert!(size_of(key) < size_of("sc64"), "{key} proof not smaller than sc64's");
     }
 }
 

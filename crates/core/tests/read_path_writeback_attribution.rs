@@ -11,10 +11,9 @@
 //! that would silently understate write traffic for every workload with a
 //! read-heavy measured phase.
 
-use morphtree_core::metadata::{
-    AccessCategory, EngineStats, MacMode, MemAccess, MetadataEngine, ReferenceEngine,
-};
+use morphtree_core::metadata::{AccessCategory, EngineStats, MacMode, MemAccess, MetadataEngine};
 use morphtree_core::tree::TreeConfig;
+use morphtree_oracle::ReferenceEngine;
 
 const MIB: u64 = 1 << 20;
 /// 4 KiB / 8 ways = 8 sets x 8 ways = 64 cache lines: small enough that a

@@ -75,7 +75,7 @@ impl CtrModeCipher {
 
     /// The seed formulation of [`CtrModeCipher::one_time_pad`]: per-block
     /// seed construction over the scalar AES path. Kept as the equivalence
-    /// reference and the `morphtree perf` baseline.
+    /// reference that `aes_equivalence.rs` holds every backend to.
     pub fn one_time_pad_reference(&self, line_addr: u64, counter: u64) -> CachelineBytes {
         let mut pad = [0u8; CACHELINE_BYTES];
         for block in 0..CACHELINE_BYTES / 16 {

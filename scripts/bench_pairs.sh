@@ -12,10 +12,21 @@
 # even ones.
 #
 # Prints one row per pair (each side's end-to-end metrics and failed
-# count), then per metric each side's median and quartiles and the number
+# count), then per metric each side's median and quartiles, the number
 # of pairs the change won (ties count for neither side; "better" comes
-# from BENCHMARK.json). Exits 1 when any run reports a failed check or an
-# incorrect result.
+# from BENCHMARK.json), the median over pairs of how much worse the
+# change was than the parent of its own pair (relative to that parent;
+# negative is better), and whether the metric regressed. A metric
+# regresses when that median exceeds the metric's `bound` in
+# BENCHMARK.json and the change lost at least half of the pairs. The two
+# runs of a pair are adjacent in time, so comparing within pairs keeps a
+# host that drifts between fast and slow periods from deciding the
+# verdict; the two sides' medians alone do not.
+#
+# Exit codes: 0 when every run passed its checks and nothing regressed;
+# 1 when any run reports a failed check or an incorrect result (or the
+# script cannot run); 2 on a usage error; 3 when every run passed but an
+# end-to-end metric regressed.
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
@@ -67,7 +78,7 @@ for ((i = 1; i <= pairs; i++)); do
   fi
 done
 
-jq -r -s --slurpfile spec "$spec" --arg workload "$workload" '
+summary=$(jq -r -s --slurpfile spec "$spec" --arg workload "$workload" '
   # Linear-interpolated quantile of a numeric array.
   def quantile($p):
     sort as $s | ((($s | length) - 1) * $p) as $x | ($x | floor) as $i
@@ -80,6 +91,23 @@ jq -r -s --slurpfile spec "$spec" --arg workload "$workload" '
   | (map(select(.side == "parent")) | sort_by(.seed)) as $p
   | (map(select(.side == "change")) | sort_by(.seed)) as $c
   | ([range(0; $p | length)] | map({seed: $p[.].seed, parent: $p[.].result, change: $c[.].result})) as $pairs
+  # Per metric: the values of both sides, the wins and losses of the
+  # change, the median of its per-pair relative shortfall, and the
+  # regression verdict (that median beyond the bound, and at least half
+  # of the pairs lost).
+  | ($metrics | map(.name as $m | .better as $better
+      | def worse($x; $y): if $better == "lower" then $x > $y else $x < $y end;
+      ($pairs | map(.parent.metrics[$m].value)) as $pv
+      | ($pairs | map(.change.metrics[$m].value)) as $cv
+      | ($pairs | map(select(worse(.parent.metrics[$m].value; .change.metrics[$m].value))) | length) as $wins
+      | ($pairs | map(select(worse(.change.metrics[$m].value; .parent.metrics[$m].value))) | length) as $losses
+      | ($pairs | map(.parent.metrics[$m].value as $was | .change.metrics[$m].value as $now
+          | select($was != null and $now != null and $was != 0)
+          | if $better == "lower" then ($now - $was) / $was else ($was - $now) / $was end)
+        | if length == 0 then null else quantile(0.5) end) as $worse_by
+      | {name: $m, better: $better, pv: $pv, cv: $cv, wins: $wins, worse_by: $worse_by,
+         regressed: ($worse_by != null and $worse_by > (.bound // 0)
+           and $losses * 2 >= ($pairs | length))})) as $verdicts
   | "workload \($workload), \($pairs | length) pair(s)",
     (["pair", "seed", "side"] + ($metrics | map(.name)) + ["failed"] | join("\t")),
     ($pairs | to_entries[] | .key as $k | .value as $pair
@@ -90,22 +118,23 @@ jq -r -s --slurpfile spec "$spec" --arg workload "$workload" '
       | join("\t")),
     "",
     (["metric", "better", "parent_q1", "parent_median", "parent_q3",
-      "change_q1", "change_median", "change_q3", "change_wins"] | join("\t")),
-    ($metrics[] | .name as $m | .better as $better
-      | ($pairs | map(.parent.metrics[$m].value)) as $pv
-      | ($pairs | map(.change.metrics[$m].value)) as $cv
-      | ($pairs | map(select(
-          if $better == "lower" then .change.metrics[$m].value < .parent.metrics[$m].value
-          else .change.metrics[$m].value > .parent.metrics[$m].value end)) | length) as $wins
-      | [$m, $better,
-         ($pv | quantile(0.25) | fmt), ($pv | quantile(0.5) | fmt), ($pv | quantile(0.75) | fmt),
-         ($cv | quantile(0.25) | fmt), ($cv | quantile(0.5) | fmt), ($cv | quantile(0.75) | fmt),
-         "\($wins)/\($pairs | length)"]
+      "change_q1", "change_median", "change_q3", "change_wins", "worse_by", "regressed"]
+     | join("\t")),
+    ($verdicts[]
+      | [.name, .better,
+         (.pv | quantile(0.25) | fmt), (.pv | quantile(0.5) | fmt), (.pv | quantile(0.75) | fmt),
+         (.cv | quantile(0.25) | fmt), (.cv | quantile(0.5) | fmt), (.cv | quantile(0.75) | fmt),
+         "\(.wins)/\($pairs | length)", (.worse_by | fmt), (if .regressed then "yes" else "no" end)]
       | join("\t")),
     "",
-    "failed: parent \($pairs | map(.parent.failed) | add), change \($pairs | map(.change.failed) | add)"
-' "$results"
+    "failed: parent \($pairs | map(.parent.failed) | add), change \($pairs | map(.change.failed) | add)",
+    "regressed: \($verdicts | map(select(.regressed) | .name) | if length == 0 then "none" else join(", ") end)"
+' "$results") || exit 1
+printf '%s\n' "$summary"
 
 # Any failed check, incorrect result or non-zero exit fails the script.
 jq -e -s 'all(.[]; .status == 0 and .result.correct == true and .result.failed == 0)' \
   "$results" > /dev/null
+if [ "${summary##*$'\n'}" != "regressed: none" ]; then
+  exit 3
+fi

@@ -11,10 +11,10 @@
 //! [`EngineStats`], and agree on every counter value.
 
 use morphtree_core::metadata::{
-    EngineOptions, MacMode, MemAccess, MetadataEngine, ReferenceEngine, ReplacementPolicy,
-    VerificationMode,
+    EngineOptions, MacMode, MemAccess, MetadataEngine, ReplacementPolicy, VerificationMode,
 };
 use morphtree_core::tree::TreeConfig;
+use morphtree_oracle::ReferenceEngine;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
