@@ -21,6 +21,7 @@ pub mod analytic;
 pub mod bits;
 pub mod morph;
 pub mod split;
+pub(crate) mod tree;
 
 use std::fmt;
 

@@ -10,7 +10,6 @@
 //! Layout mirrors the memory snapshot (`b"MTEN"` magic + version +
 //! checksummed sections); see [`crate::persist`] for the framing.
 
-use crate::counters::CounterLine;
 use crate::metadata::stats::USED_FRACTION_BINS;
 use crate::metadata::{
     CacheStats, EngineOptions, EngineStats, MacMode, MetadataEngine, ReplacementPolicy,
@@ -27,7 +26,6 @@ use super::{
 pub const ENGINE_MAGIC: [u8; 4] = *b"MTEN";
 
 const SEC_OPTIONS: u32 = 2;
-const SEC_LEVELS: u32 = 5;
 const SEC_CACHE: u32 = 6;
 const SEC_STATS: u32 = 7;
 
@@ -217,16 +215,7 @@ pub fn save_engine(engine: &MetadataEngine) -> Vec<u8> {
     });
     write_section(&mut out, SEC_OPTIONS, &w.into_bytes());
 
-    let mut w = ByteWriter::new();
-    w.u32(engine.level_stores().len() as u32);
-    for store in engine.level_stores() {
-        w.u64(store.len());
-        for (line_idx, line) in store.iter() {
-            w.u64(line_idx);
-            w.bytes(&line.encode());
-        }
-    }
-    write_section(&mut out, SEC_LEVELS, &w.into_bytes());
+    engine.tree().write_levels(&mut out);
 
     let mut w = ByteWriter::new();
     let (tick, entries) = cache.export_entries();
@@ -313,30 +302,7 @@ pub fn load_engine(bytes: &[u8]) -> Result<MetadataEngine, RecoveryError> {
         EngineOptions { mac_mode, verification, replacement },
     );
 
-    let mut sec = read_section(&mut r, SEC_LEVELS)?;
-    let levels_offset = sec.offset();
-    let n_levels = sec.u32()? as usize;
-    if n_levels != engine.geometry().levels().len() {
-        return Err(RecoveryError::CorruptSnapshot { offset: levels_offset });
-    }
-    for level in 0..n_levels {
-        let count = sec.u64()?;
-        let level_lines = engine.geometry().levels()[level].lines;
-        let mut next = 0;
-        for _ in 0..count {
-            let offset = sec.offset();
-            let line_idx = sec.u64()?;
-            let image = sec.line()?;
-            if line_idx >= level_lines {
-                return Err(RecoveryError::CounterLineOutOfRange { level, line_idx });
-            }
-            super::ascending(&mut next, line_idx, offset)?;
-            engine
-                .restore_line(level, line_idx, &image)
-                .map_err(RecoveryError::MalformedLine)?;
-        }
-    }
-    super::expect_exhausted(&sec)?;
+    engine.tree_mut().read_levels(&mut r)?;
 
     let mut sec = read_section(&mut r, SEC_CACHE)?;
     let cache_offset = sec.offset();

@@ -65,6 +65,7 @@ use std::collections::BTreeSet;
 use morphtree_crypto::MacKey;
 
 use crate::concurrent::{fold_digests, Op, OpOutcome, ShardPlan, ShardedMemory};
+use crate::counters::CounterLine;
 use crate::error::IntegrityError;
 use crate::error::ShardError;
 use crate::functional::{MutationJournal, SecureMemory, VerifyPlan};
@@ -497,11 +498,11 @@ impl ShardLog {
             }
         }
         for &(level, line_idx) in &journal.counter_lines {
-            if let Some(image) = live.counter_line_image(level, line_idx) {
+            if let Some(line) = live.tree().line(level, line_idx) {
                 self.wal.append(&WalRecord::CounterLine {
                     level: level as u32,
                     line_idx,
-                    image,
+                    image: line.encode(),
                 });
             }
         }
@@ -524,12 +525,8 @@ impl ShardLog {
             }
         }
         for &(level, line_idx) in &self.pending_counters {
-            if let Some(image) = live.counter_line_image(level, line_idx) {
-                if self.sealed.restore_counter_line(level, line_idx, &image).is_err() {
-                    // The image was just encoded from a live line; it
-                    // decodes under the same configuration by construction.
-                    unreachable!("live counter image failed to re-decode");
-                }
+            if let Some(line) = live.tree().line(level, line_idx) {
+                self.sealed.tree_mut().insert(level, line_idx, line.clone());
             }
         }
         self.sealed.set_reencryptions(live.reencryptions());

@@ -526,8 +526,9 @@ impl SecureMemory {
             // Every written line's full ancestor chain is materialized by
             // the write path; an absent node means the store was mutated
             // outside it, which a proof must not paper over.
-            let node = self.level_stores()[level]
-                .get(line_idx)
+            let node = self
+                .tree()
+                .line(level, line_idx)
                 .ok_or(ProofError::MissingNode { level, line_idx })?;
             nodes.push(ProofNode {
                 level,
