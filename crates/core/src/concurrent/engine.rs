@@ -1,20 +1,14 @@
 //! The sharded secure-memory engine: per-shard [`SecureMemory`] subtrees
-//! under a shared top root, plus the sharded timing-plane
-//! [`MetadataEngine`] counterpart.
+//! under a shared top root.
 
 use crate::error::{IntegrityError, ShardError, TamperError};
 use crate::functional::SecureMemory;
-use crate::metadata::{EngineOptions, EngineStats, MemAccess, MetadataEngine};
 use crate::tree::TreeConfig;
 use crate::CACHELINE_BYTES;
 use morphtree_crypto::MacKey;
 
 use super::plan::ShardPlan;
 use super::queue::{InterleaveSchedule, ShardQueues};
-
-/// Floor for a shard's metadata-cache slice: below ~16 lines the cache
-/// degenerates to pure thrashing and stops modelling anything.
-const MIN_SHARD_CACHE_BYTES: usize = 1024;
 
 /// One request against the sharded engine, addressed by *global* data
 /// line. The mix mirrors what the lockstep oracle can compare against the
@@ -667,142 +661,9 @@ impl ShardedMemory {
     }
 }
 
-/// The sharded *timing-plane* engine: one [`MetadataEngine`] (with its own
-/// slice of the metadata cache) per address-range shard. Where
-/// [`ShardedMemory`] actually encrypts and MACs bytes, this counts the
-/// traffic a sharded memory controller would generate.
-#[derive(Debug)]
-pub struct ShardedEngine {
-    plan: ShardPlan,
-    shards: Vec<MetadataEngine>,
-}
-
-impl ShardedEngine {
-    /// Creates a sharded engine; the `cache_bytes` metadata-cache budget is
-    /// split evenly across shards (floored at 1 KiB per shard).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShardError`] when the partition is impossible.
-    pub fn new(
-        config: TreeConfig,
-        memory_bytes: u64,
-        cache_bytes: usize,
-        options: EngineOptions,
-        shards: usize,
-    ) -> Result<Self, ShardError> {
-        let plan = ShardPlan::new(memory_bytes, shards)?;
-        let per_shard_cache = (cache_bytes / plan.shards()).max(MIN_SHARD_CACHE_BYTES);
-        let shards = (0..plan.shards())
-            .map(|s| {
-                MetadataEngine::with_options(
-                    config.clone(),
-                    plan.shard_memory_bytes(s),
-                    per_shard_cache,
-                    options,
-                )
-            })
-            .collect();
-        Ok(ShardedEngine { plan, shards })
-    }
-
-    /// The shard partition in use.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// One shard's engine (read-only; for inspection in tests).
-    #[must_use]
-    pub fn shard(&self, shard: usize) -> &MetadataEngine {
-        &self.shards[shard]
-    }
-
-    /// Runs a `(global line, is_write)` batch with `threads` workers and
-    /// returns the total number of memory accesses emitted. Per-shard
-    /// engines see their requests in program order for any worker count,
-    /// so [`ShardedEngine::merged_stats`] is thread-count-invariant.
-    pub fn run_batch(&mut self, ops: &[(u64, bool)], threads: usize) -> u64 {
-        let shard_count = self.plan.shards();
-        let workers = threads.clamp(1, shard_count);
-        let plan = self.plan;
-        let mut per_shard: Vec<Vec<(u64, bool)>> = vec![Vec::new(); shard_count];
-        for &(line, is_write) in ops {
-            per_shard[plan.shard_of(line)].push((plan.local_line(line), is_write));
-        }
-
-        if workers == 1 {
-            let mut scratch: Vec<MemAccess> = Vec::new();
-            let mut emitted = 0u64;
-            for (engine, queue) in self.shards.iter_mut().zip(&per_shard) {
-                for &(local, is_write) in queue {
-                    scratch.clear();
-                    if is_write {
-                        engine.write(local, &mut scratch);
-                    } else {
-                        engine.read(local, &mut scratch);
-                    }
-                    emitted += scratch.len() as u64;
-                }
-            }
-            emitted
-        } else {
-            let chunk = shard_count.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for (engines, queues) in
-                    self.shards.chunks_mut(chunk).zip(per_shard.chunks(chunk))
-                {
-                    handles.push(scope.spawn(move || {
-                        let mut scratch: Vec<MemAccess> = Vec::new();
-                        let mut emitted = 0u64;
-                        for (engine, queue) in engines.iter_mut().zip(queues) {
-                            for &(local, is_write) in queue {
-                                scratch.clear();
-                                if is_write {
-                                    engine.write(local, &mut scratch);
-                                } else {
-                                    engine.read(local, &mut scratch);
-                                }
-                                emitted += scratch.len() as u64;
-                            }
-                        }
-                        emitted
-                    }));
-                }
-                let mut emitted = 0u64;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(part) => emitted += part,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-                emitted
-            })
-        }
-    }
-
-    /// Aggregated statistics across all shard engines.
-    #[must_use]
-    pub fn merged_stats(&self) -> EngineStats {
-        let levels = self
-            .shards
-            .iter()
-            .map(|s| s.geometry().levels().len())
-            .max()
-            .unwrap_or(0);
-        let mut merged = EngineStats::new(levels);
-        for shard in &self.shards {
-            merged.merge(shard.stats());
-        }
-        merged
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metadata::MacMode;
 
     const MIB: u64 = 1 << 20;
 
@@ -819,14 +680,7 @@ mod tests {
             ShardError::ZeroShards
         );
         assert_eq!(
-            ShardedEngine::new(
-                TreeConfig::morphtree(),
-                63,
-                4096,
-                EngineOptions::default(),
-                2
-            )
-            .unwrap_err(),
+            ShardedMemory::new(TreeConfig::morphtree(), 63, [1; 16], 2).unwrap_err(),
             ShardError::UnalignedMemory { memory_bytes: 63 }
         );
     }
@@ -952,46 +806,5 @@ mod tests {
             assert_eq!(out, batch_out, "seed {seed}");
             assert_eq!(inter.combined_root(), batch_root, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn sharded_engine_stats_are_thread_count_invariant() {
-        let ops: Vec<(u64, bool)> =
-            (0..5000).map(|i| ((i * 17) % 4096, i % 5 < 2)).collect();
-        let run = |threads: usize| {
-            let mut engine = ShardedEngine::new(
-                TreeConfig::morphtree(),
-                16 * MIB,
-                8 * 1024,
-                EngineOptions::default(),
-                4,
-            )
-            .unwrap();
-            let emitted = engine.run_batch(&ops, threads);
-            (emitted, engine.merged_stats())
-        };
-        let (base_emitted, base_stats) = run(1);
-        assert!(base_emitted > 0);
-        assert_eq!(base_stats.data_reads + base_stats.data_writes, 5000);
-        for threads in [2, 4, 7] {
-            let (emitted, stats) = run(threads);
-            assert_eq!(emitted, base_emitted, "{threads} threads");
-            assert_eq!(stats, base_stats, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn sharded_engine_respects_mac_mode() {
-        let mut engine = ShardedEngine::new(
-            TreeConfig::morphtree(),
-            4 * MIB,
-            4 * 1024,
-            EngineOptions { mac_mode: MacMode::Separate, ..EngineOptions::default() },
-            2,
-        )
-        .unwrap();
-        engine.run_batch(&[(0, false), (4000, true)], 2);
-        let stats = engine.merged_stats();
-        assert!(stats.reads[1] + stats.writes[1] > 0, "separate-MAC traffic expected");
     }
 }

@@ -42,7 +42,7 @@ mod engine;
 mod plan;
 mod queue;
 
-pub use engine::{Op, OpOutcome, ShardedEngine, ShardedMemory};
+pub use engine::{Op, OpOutcome, ShardedMemory};
 pub(crate) use engine::fold_digests;
 pub use plan::ShardPlan;
 pub use queue::{InterleaveSchedule, ShardQueues};

@@ -77,21 +77,10 @@ impl CacheStats {
     pub fn evictions(&self) -> u64 {
         self.level_evicts.iter().sum()
     }
-
-    /// Merges `other` into `self` (multi-run aggregation).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        for i in 0..STAT_LEVELS {
-            self.level_hits[i] += other.level_hits[i];
-            self.level_misses[i] += other.level_misses[i];
-            self.level_evicts[i] += other.level_evicts[i];
-        }
-    }
 }
 
 /// The 8 entries of one set as a fixed-size array (for the fixed-width
-/// 8-way kernels).
+/// 8-way scans).
 ///
 /// # Panics
 ///
@@ -102,88 +91,6 @@ fn set8(slab: &[u64], base: usize) -> &[u64; 8] {
     match slab[base..base + 8].first_chunk::<8>() {
         Some(array) => array,
         None => unreachable!("slice of length 8"),
-    }
-}
-
-/// Runtime AVX2 detection, probed once per cache construction.
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx2_available() -> bool {
-    false
-}
-
-/// AVX2 kernels for the 8-way hot paths: one 256-bit compare pair replaces
-/// the 8-element scalar cmov chain for tag lookup, and a lanewise
-/// min-reduction replaces the victim scan. Selected at construction via
-/// runtime feature detection; the scalar paths remain both the fallback
-/// and the semantic specification (the equivalence tests run either way).
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // SIMD intrinsics; every call site documents its proof.
-mod x86 {
-    use core::arch::x86_64::{
-        __m256i, _mm256_blendv_epi8, _mm256_castsi256_pd, _mm256_cmpeq_epi64,
-        _mm256_cmpgt_epi64, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
-        _mm256_or_si256, _mm256_permute4x64_epi64, _mm256_set1_epi64x, _mm256_set_epi64x,
-        _mm256_shuffle_epi32, _mm256_slli_epi64,
-    };
-
-    /// Lanewise unsigned min; valid because all inputs fit in 63 bits, so
-    /// the signed 64-bit compare agrees with the unsigned order.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn min_epu64(a: __m256i, b: __m256i) -> __m256i {
-        _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b))
-    }
-
-    /// Way index holding `addr` among the 8 tags at `tags`, or
-    /// `usize::MAX` if absent.
-    ///
-    /// # Safety
-    ///
-    /// `tags` must be valid for reads of 8 `u64`s, and the CPU must
-    /// support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn find8(tags: *const u64, addr: u64) -> usize {
-        // SAFETY: the caller guarantees 8 readable u64s.
-        let (lo, hi) = unsafe {
-            (_mm256_loadu_si256(tags.cast()), _mm256_loadu_si256(tags.add(4).cast()))
-        };
-        let needle = _mm256_set1_epi64x(addr as i64);
-        let eq_lo = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(lo, needle)));
-        let eq_hi = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(hi, needle)));
-        let mask = (eq_lo as u32 & 0xF) | ((eq_hi as u32 & 0xF) << 4);
-        if mask == 0 {
-            usize::MAX
-        } else {
-            mask.trailing_zeros() as usize
-        }
-    }
-
-    /// Way index of the minimum of the 8 ticks at `ticks` (ties to the
-    /// lowest way, matching the scalar packed-key scan).
-    ///
-    /// # Safety
-    ///
-    /// `ticks` must be valid for reads of 8 `u64`s, each less than
-    /// `1 << 61`, and the CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn victim8(ticks: *const u64) -> usize {
-        // SAFETY: the caller guarantees 8 readable u64s.
-        let (lo, hi) = unsafe {
-            (_mm256_loadu_si256(ticks.cast()), _mm256_loadu_si256(ticks.add(4).cast()))
-        };
-        // Pack the way index into the low bits so the reduction is exact.
-        let key_lo = _mm256_or_si256(_mm256_slli_epi64(lo, 3), _mm256_set_epi64x(3, 2, 1, 0));
-        let key_hi = _mm256_or_si256(_mm256_slli_epi64(hi, 3), _mm256_set_epi64x(7, 6, 5, 4));
-        let m = min_epu64(key_lo, key_hi);
-        // Horizontal min: fold 128-bit halves, then 64-bit halves.
-        let m = min_epu64(m, _mm256_permute4x64_epi64::<0b0100_1110>(m));
-        let m = min_epu64(m, _mm256_shuffle_epi32::<0b0100_1110>(m));
-        (_mm256_extract_epi64::<0>(m) as u64 & 7) as usize
     }
 }
 
@@ -252,9 +159,6 @@ pub struct MetadataCache {
     /// [`MetadataCache::set_index`] is a mask instead of a modulo.
     set_mask: Option<u64>,
     num_sets: usize,
-    /// Whether the AVX2 8-way kernels are usable (detected once here so
-    /// the hot paths branch on a predictable bool).
-    simd: bool,
     /// Global touch counter feeding `ticks`.
     tick: u64,
     stats: CacheStats,
@@ -298,7 +202,6 @@ impl MetadataCache {
                 .is_power_of_two()
                 .then_some(num_sets as u64 - 1),
             num_sets,
-            simd: ways == 8 && avx2_available(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -350,20 +253,10 @@ impl MetadataCache {
     }
 
     /// Slot index of `addr` within its set, if resident. The 8-way case —
-    /// every configuration in the paper — is one AVX2 compare pair when
-    /// available, else a fixed-width branchless cmov chain; other
-    /// associativities take the generic scan.
+    /// every configuration in the paper — is a fixed-width branchless cmov
+    /// chain; other associativities take the generic scan.
     #[inline]
-    #[allow(unsafe_code)] // see the `x86` module
     fn find(&self, base: usize, addr: u64) -> Option<usize> {
-        #[cfg(target_arch = "x86_64")]
-        if self.simd {
-            let tags = set8(&self.tags, base);
-            // SAFETY: `simd` implies AVX2 support and 8 ways; the slice
-            // conversion above proves 8 readable u64s.
-            let way = unsafe { x86::find8(tags.as_ptr(), addr) };
-            return (way != usize::MAX).then(|| base + way);
-        }
         if self.ways == 8 {
             let tags = set8(&self.tags, base);
             let mut found = usize::MAX;
@@ -384,18 +277,9 @@ impl MetadataCache {
     /// The way to (re)fill on an insertion miss: an empty way if the set
     /// has one (tick 0 loses every comparison), else the policy's victim.
     #[inline]
-    #[allow(unsafe_code)] // see the `x86` module
     fn victim_slot(&self, base: usize) -> usize {
         match self.policy {
             ReplacementPolicy::Lru => {
-                #[cfg(target_arch = "x86_64")]
-                if self.simd {
-                    debug_assert!(self.tick < 1 << 61, "tick overflow");
-                    let ticks = set8(&self.ticks, base);
-                    // SAFETY: `simd` implies AVX2 and 8 ways; ticks stay
-                    // below 2^61 (asserted above), as `victim8` requires.
-                    return base + unsafe { x86::victim8(ticks.as_ptr()) };
-                }
                 if self.ways == 8 {
                     // Branchless min over keys packing the way index into
                     // the tick's low bits; ticks are unique so ordering by
@@ -534,29 +418,6 @@ impl MetadataCache {
             self.stats.level_misses[stat_level(priority)] += 1;
             false
         }
-    }
-
-    /// Marks a resident line dirty; returns whether it was resident.
-    pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let base = self.set_index(addr) * self.ways;
-        if let Some(slot) = self.find(base, addr) {
-            self.dirty[slot] = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes `addr` if resident, returning its dirty bit.
-    pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let base = self.set_index(addr) * self.ways;
-        let slot = self.find(base, addr)?;
-        let was_dirty = self.dirty[slot];
-        self.tags[slot] = SENTINEL;
-        self.ticks[slot] = 0;
-        self.dirty[slot] = false;
-        self.priority[slot] = 0;
-        Some(was_dirty)
     }
 
     /// Drops all contents and statistics.
@@ -699,45 +560,6 @@ mod tests {
         // `a`'s dirty bit was ORed in.
         let victim = c.insert(addr_in_set(&c, 0, 3), false).unwrap();
         assert_eq!(victim, EvictedLine { addr: a, dirty: true, priority: 0 });
-    }
-
-    #[test]
-    fn mark_dirty_only_when_resident() {
-        let mut c = tiny();
-        let a = addr_in_set(&c, 0, 0);
-        assert!(!c.mark_dirty(a));
-        c.insert(a, false);
-        assert!(c.mark_dirty(a));
-        let b = addr_in_set(&c, 0, 1);
-        let d = addr_in_set(&c, 0, 2);
-        c.insert(b, false);
-        let victim = c.insert(d, false).unwrap();
-        assert!(victim.dirty);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        let a = addr_in_set(&c, 1, 0);
-        c.insert(a, true);
-        assert_eq!(c.invalidate(a), Some(true));
-        assert!(!c.contains(a));
-        assert_eq!(c.invalidate(a), None);
-    }
-
-    #[test]
-    fn invalidate_then_insert_reuses_the_hole() {
-        let mut c = tiny();
-        let a = addr_in_set(&c, 0, 0);
-        let b = addr_in_set(&c, 0, 1);
-        let d = addr_in_set(&c, 0, 2);
-        c.insert(a, false);
-        c.insert(b, true);
-        assert_eq!(c.invalidate(a), Some(false));
-        assert!(c.contains(b), "the survivor stays resident");
-        // The freed way is reused without an eviction.
-        assert!(c.insert(d, false).is_none());
-        assert_eq!(c.occupancy(), 2);
     }
 
     #[test]
@@ -904,12 +726,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_merge_and_hit_rate() {
-        let mut a = CacheStats { hits: 3, misses: 1, ..CacheStats::default() };
-        a.level_hits[0] = 3;
-        let mut b = CacheStats { hits: 1, misses: 3, ..CacheStats::default() };
-        b.level_evicts[2] = 5;
-        a.merge(&b);
+    fn cache_stats_hit_rate_and_evictions() {
+        let mut a = CacheStats { hits: 4, misses: 4, ..CacheStats::default() };
+        a.level_evicts[2] = 5;
         assert_eq!(a.hits, 4);
         assert_eq!(a.misses, 4);
         assert_eq!(a.hit_rate(), Some(0.5));

@@ -278,37 +278,6 @@ impl EngineStats {
         }
         out
     }
-
-    /// Merges `other` into `self` (for multi-core aggregation).
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.data_reads += other.data_reads;
-        self.data_writes += other.data_writes;
-        for i in 0..7 {
-            self.reads[i] += other.reads[i];
-            self.writes[i] += other.writes[i];
-        }
-        if self.overflows_by_level.len() < other.overflows_by_level.len() {
-            self.overflows_by_level.resize(other.overflows_by_level.len(), 0);
-            self.rebases_by_level.resize(other.rebases_by_level.len(), 0);
-        }
-        for (i, &v) in other.overflows_by_level.iter().enumerate() {
-            self.overflows_by_level[i] += v;
-        }
-        for (i, &v) in other.rebases_by_level.iter().enumerate() {
-            self.rebases_by_level[i] += v;
-        }
-        for i in 0..USED_FRACTION_BINS {
-            self.overflow_used_histogram[i] += other.overflow_used_histogram[i];
-            self.overflow_used_histogram_enc[i] += other.overflow_used_histogram_enc[i];
-        }
-        for i in 0..self.overflow_kinds.len() {
-            self.overflow_kinds[i] += other.overflow_kinds[i];
-        }
-        self.fetch_depths.merge(&other.fetch_depths);
-        self.otp_ops += other.otp_ops;
-        self.mac_ops += other.mac_ops;
-        self.mac_batches += other.mac_batches;
-    }
 }
 
 #[cfg(test)]
@@ -382,36 +351,6 @@ mod tests {
         assert_eq!((s.otp_ops, s.mac_ops), (1, 3));
         s.record(&acc(AccessCategory::Overflow, true));
         assert_eq!((s.otp_ops, s.mac_ops), (2, 4));
-    }
-
-    #[test]
-    fn merge_includes_observability_fields() {
-        let mut a = EngineStats::new(1);
-        let mut b = EngineStats::new(1);
-        a.fetch_depths.record(2);
-        b.fetch_depths.record(5);
-        b.otp_ops = 3;
-        b.mac_ops = 7;
-        a.merge(&b);
-        assert_eq!(a.fetch_depths.count(), 2);
-        assert_eq!(a.fetch_depths.max(), Some(5));
-        assert_eq!(a.otp_ops, 3);
-        assert_eq!(a.mac_ops, 7);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = EngineStats::new(2);
-        let mut b = EngineStats::new(4);
-        a.data_reads = 1;
-        b.data_writes = 2;
-        b.record_overflow(3, 10, 64);
-        b.record_rebase(0);
-        a.merge(&b);
-        assert_eq!(a.data_accesses(), 3);
-        assert_eq!(a.overflows_by_level.len(), 4);
-        assert_eq!(a.overflows_by_level[3], 1);
-        assert_eq!(a.rebases_by_level[0], 1);
     }
 
     #[test]

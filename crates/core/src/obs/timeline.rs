@@ -92,17 +92,6 @@ impl Timeline {
         self.spans.is_empty()
     }
 
-    /// Total duration across all *top-level* spans (children overlap
-    /// their parents and would double-count).
-    #[must_use]
-    pub fn total_duration(&self) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.depth == 0)
-            .map(|s| s.duration)
-            .sum()
-    }
-
     /// Merges another timeline's completed spans into this one, then
     /// sorts by `(start, name)` so the merged order is independent of
     /// which worker finished first.
@@ -157,7 +146,6 @@ mod tests {
         assert_eq!(spans[1].name, "outer");
         assert_eq!(spans[1].depth, 0);
         assert_eq!(spans[1].duration, 100);
-        assert_eq!(t.total_duration(), 100);
     }
 
     #[test]
