@@ -1,8 +1,7 @@
 //! Hardware AES-128 encryption via the x86-64 AES-NI instruction set.
 //!
 //! This is the crate's **one audited `unsafe` module** (the crate is
-//! otherwise `#![deny(unsafe_code)]`), following the same pattern as the
-//! metadata cache's AVX2 kernels: a runtime-probed fast path whose
+//! otherwise `#![deny(unsafe_code)]`): a runtime-probed fast path whose
 //! semantic specification is the portable code it replaces. The scalar
 //! path in [`crate::aes`] remains the reference; the FIPS-197
 //! known-answer tests and the cross-backend property tests pin this path
