@@ -645,7 +645,7 @@ fn cmd_snapshot(flags: &Flags) -> Result<String, CliError> {
         (None, Some(path)) => {
             let bytes =
                 std::fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-            if bytes.starts_with(&persist::MAGIC_SHARDED) {
+            if persist::SHARDED.matches(&bytes) {
                 return verify_sharded_image(path, &bytes);
             }
             // Recovery with an empty log replays nothing: this is a pure
@@ -860,7 +860,7 @@ fn cmd_prove(flags: &Flags) -> Result<String, CliError> {
     // Recovery failures are integrity verdicts (the snapshot's checksums
     // or MACs are wrong); a bad line request against a healthy image is a
     // usage error. Both are distinguishable from unreadable files.
-    let (proof, root) = if bytes.starts_with(&persist::MAGIC_SHARDED) {
+    let (proof, root) = if persist::SHARDED.matches(&bytes) {
         let mut memory = persist::recover_sharded(&bytes)
             .map_err(|e| integrity_err(format!("{snapshot_path}: snapshot failed: {e}")))?;
         let root = memory.combined_root();
@@ -1077,6 +1077,8 @@ fn cmd_list() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morphtree_core::persist;
+    use morphtree_core::persist::codec::{read_any_section, write_section, ByteReader};
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| (*s).to_owned()).collect()
@@ -1241,26 +1243,23 @@ mod tests {
         // Corrupt the last shard's payload and patch its section checksum:
         // framing stays valid, so verification must fail *per shard* and
         // name the culprit rather than refusing the whole container.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mut offset = 8; // MAGIC + VERSION
-        let mut last_payload = 0..0;
-        while offset + 12 <= bytes.len() {
-            let len =
-                u64::from_le_bytes(bytes[offset + 4..offset + 12].try_into().unwrap()) as usize;
-            last_payload = offset + 12..offset + 12 + len;
-            offset = offset + 12 + len + 8;
+        let image = std::fs::read(&path).unwrap();
+        let mut r = ByteReader::new(&image);
+        persist::SHARDED.read(&mut r).unwrap();
+        let mut sections = Vec::new();
+        while !r.is_exhausted() {
+            sections.push(read_any_section(&mut r).unwrap());
         }
-        bytes[last_payload.end - 9] ^= 0x40;
-        let crc = {
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in &bytes[last_payload.clone()] {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash
-        };
-        let crc_at = last_payload.end;
-        bytes[crc_at..crc_at + 8].copy_from_slice(&crc.to_le_bytes());
+        let (last_tag, last) = sections.pop().unwrap();
+        let mut last = last.to_vec();
+        let flip = last.len() - 9;
+        last[flip] ^= 0x40;
+        let mut bytes = Vec::new();
+        persist::SHARDED.write(&mut bytes);
+        for (tag, payload) in sections {
+            write_section(&mut bytes, tag, payload);
+        }
+        write_section(&mut bytes, last_tag, &last);
         std::fs::write(&path, &bytes).unwrap();
         let e = run("snapshot", &strs(&["--verify", &path_str])).unwrap_err();
         std::fs::remove_file(&path).ok();

@@ -10,10 +10,10 @@
 use std::ops::Range;
 
 use super::{CounterLine, CounterOrg, Line, LineImage, ReencryptSpan};
-use crate::persist::codec::{ByteReader, ByteWriter};
-use crate::persist::{
-    ascending, expect_exhausted, read_section, write_section, RecoveryError, SEC_LEVELS,
+use crate::persist::codec::{
+    ascending, expect_exhausted, read_section, write_section, ByteReader, ByteWriter,
 };
+use crate::persist::{RecoveryError, SEC_LEVELS};
 use crate::store::PagedStore;
 use crate::tree::{TreeConfig, TreeGeometry};
 
@@ -146,7 +146,7 @@ impl CounterTree {
             return Err(RecoveryError::CorruptSnapshot { offset });
         }
         for level in 0..self.stores.len() {
-            let count = sec.u64()?;
+            let count = sec.count_u64(8 + crate::CACHELINE_BYTES)?;
             let mut next = 0;
             for _ in 0..count {
                 let offset = sec.offset();

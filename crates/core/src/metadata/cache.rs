@@ -436,47 +436,6 @@ impl MetadataCache {
         self.tags.iter().filter(|&&tag| tag != SENTINEL).count()
     }
 
-    // ------------------------------------------------------------------
-    // Persistence hooks (`crate::persist`): exact state export/import so a
-    // resumed engine replays byte-identically — ticks included, since LRU
-    // victim choice depends on them.
-    // ------------------------------------------------------------------
-
-    /// Victim-selection policy.
-    pub(crate) fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// Global tick counter plus every way's `(tag, tick, dirty, priority)`,
-    /// in slab order.
-    pub(crate) fn export_entries(&self) -> (u64, Vec<(u64, u64, bool, u8)>) {
-        let entries = (0..self.tags.len())
-            .map(|i| (self.tags[i], self.ticks[i], self.dirty[i], self.priority[i]))
-            .collect();
-        (self.tick, entries)
-    }
-
-    /// Restores [`MetadataCache::export_entries`] output; returns `false`
-    /// (leaving the cache untouched) when the entry count does not match
-    /// this cache's line count.
-    pub(crate) fn import_entries(&mut self, tick: u64, entries: &[(u64, u64, bool, u8)]) -> bool {
-        if entries.len() != self.tags.len() {
-            return false;
-        }
-        for (i, &(tag, t, d, p)) in entries.iter().enumerate() {
-            self.tags[i] = tag;
-            self.ticks[i] = t;
-            self.dirty[i] = d;
-            self.priority[i] = p;
-        }
-        self.tick = tick;
-        true
-    }
-
-    /// Overwrites the statistics (restored alongside the entries).
-    pub(crate) fn set_stats(&mut self, stats: CacheStats) {
-        self.stats = stats;
-    }
 }
 
 #[cfg(test)]

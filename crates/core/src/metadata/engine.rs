@@ -188,42 +188,6 @@ impl MetadataEngine {
         self.tree.counter(level, child_idx)
     }
 
-    // ------------------------------------------------------------------
-    // Persistence hooks (`crate::persist`): export/restore of the full
-    // engine state — counter lines, cache residency, statistics — so a
-    // resumed engine continues access-for-access identically.
-    // ------------------------------------------------------------------
-
-    /// MAC organization in use.
-    pub(crate) fn mac_mode(&self) -> MacMode {
-        self.mac_mode
-    }
-
-    /// Verification mode in use.
-    pub(crate) fn verification(&self) -> VerificationMode {
-        self.verification
-    }
-
-    /// The counter tree, for snapshot export.
-    pub(crate) fn tree(&self) -> &CounterTree {
-        &self.tree
-    }
-
-    /// Mutable counter tree, for snapshot restore.
-    pub(crate) fn tree_mut(&mut self) -> &mut CounterTree {
-        &mut self.tree
-    }
-
-    /// Mutable cache access for residency restore.
-    pub(crate) fn cache_mut(&mut self) -> &mut MetadataCache {
-        &mut self.cache
-    }
-
-    /// Overwrites the statistics (restored alongside the counter state).
-    pub(crate) fn set_stats(&mut self, stats: EngineStats) {
-        self.stats = stats;
-    }
-
     /// A data read arriving at the memory controller (an LLC miss).
     ///
     /// Emits the data access, any separate-MAC access, and the counter

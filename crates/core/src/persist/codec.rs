@@ -1,11 +1,34 @@
-//! Little-endian byte codec primitives shared by the snapshot and WAL
-//! formats.
+//! The one container codec: little-endian field primitives plus the
+//! framing every persisted format shares.
 //!
-//! Everything persisted by [`crate::persist`] is built from these few
-//! fixed-width primitives, so the on-disk layout is specified by
+//! Fields are fixed-width, so the on-disk layout is specified by
 //! construction: no padding, no endianness surprises, no
 //! platform-dependent sizes. Floats are stored as raw IEEE-754 bit
 //! patterns so a resumed run reproduces byte-identical figures.
+//!
+//! Every image that leaves the chip is untrusted until checked, so the
+//! framing rules live here and nowhere else:
+//!
+//! - a [`Header`] opens each container: four magic bytes, then the
+//!   version. A short or wrong magic is [`RecoveryError::BadMagic`], a
+//!   wrong version [`RecoveryError::UnsupportedVersion`];
+//! - sections are `[tag u32][len u64][payload][fnv1a64(payload) u64]`
+//!   ([`write_section`], [`read_section`], [`read_any_section`]);
+//! - a trailing FNV-1a-64 checksum covers a span the format names
+//!   ([`write_checksum`], [`read_checksum`], [`read_to_checksum`]);
+//! - an entry count that declares more entries than the bytes left can
+//!   hold, even at each entry's minimum size, is
+//!   [`RecoveryError::CorruptSnapshot`] at the count's offset, before
+//!   anything is reserved ([`bound_count`], [`ByteReader::count_u32`],
+//!   [`ByteReader::count_u64`]);
+//! - an indexed section's entries strictly ascend ([`ascending`]);
+//! - a section or container with bytes left over is
+//!   [`RecoveryError::CorruptSnapshot`] ([`expect_exhausted`]).
+//!
+//! The WAL's records keep their own torn-tail rule (see
+//! [`crate::persist::wal`]).
+
+use super::RecoveryError;
 
 /// Offset-carrying truncation marker returned by [`ByteReader`] when the
 /// input ends before a field does.
@@ -213,6 +236,258 @@ impl<'a> ByteReader<'a> {
         let offset = self.pos;
         std::str::from_utf8(self.chunk(len)?).map_err(|_| Truncated { offset })
     }
+
+    /// Reads a `u32` count of entries that follow in this reader, each at
+    /// least `min_entry` bytes (see [`bound_count`]).
+    ///
+    /// # Errors
+    ///
+    /// [`RecoveryError::Truncated`], or [`RecoveryError::CorruptSnapshot`]
+    /// at the count's offset when the rest of the input cannot hold it.
+    pub fn count_u32(&mut self, min_entry: usize) -> Result<usize, RecoveryError> {
+        let offset = self.pos;
+        let count = self.u32()?;
+        bound_count(u64::from(count), min_entry, self.remaining(), offset)
+    }
+
+    /// Reads a `u64` count of entries that follow in this reader, each at
+    /// least `min_entry` bytes (see [`bound_count`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ByteReader::count_u32`].
+    pub fn count_u64(&mut self, min_entry: usize) -> Result<usize, RecoveryError> {
+        let offset = self.pos;
+        let count = self.u64()?;
+        bound_count(count, min_entry, self.remaining(), offset)
+    }
+}
+
+/// A container's header: four magic bytes and the one version this build
+/// writes and reads, stored as a `u32` (or one byte, for `MTPR`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// The format's magic bytes.
+    pub magic: [u8; 4],
+    /// The format version this build writes and accepts.
+    pub version: u32,
+    /// Whether the version is stored in one byte rather than four.
+    narrow: bool,
+}
+
+impl Header {
+    /// A header with a `u32` version field.
+    #[must_use]
+    pub const fn new(magic: [u8; 4], version: u32) -> Self {
+        Header { magic, version, narrow: false }
+    }
+
+    /// A header with a one-byte version field.
+    #[must_use]
+    pub const fn narrow(magic: [u8; 4], version: u8) -> Self {
+        Header { magic, version: version as u32, narrow: true }
+    }
+
+    /// Appends the header to `out`.
+    pub fn write(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.magic);
+        if self.narrow {
+            out.push(self.version as u8);
+        } else {
+            out.extend_from_slice(&self.version.to_le_bytes());
+        }
+    }
+
+    /// Whether `bytes` start with this format's magic (it says which
+    /// decoder to try, not that the image is sound).
+    #[must_use]
+    pub fn matches(&self, bytes: &[u8]) -> bool {
+        bytes.starts_with(&self.magic)
+    }
+
+    /// A whole container: this header, `payload`, then the checksum of the
+    /// payload (the `MTSR` and `MTLC` layout; [`Header::open`] reads it).
+    #[must_use]
+    pub fn seal(&self, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 + payload.len() + 8);
+        self.write(&mut out);
+        let from = out.len();
+        out.extend_from_slice(payload);
+        write_checksum(&mut out, from);
+        out
+    }
+
+    /// Reads a [`Header::seal`] container: the header, then the payload up
+    /// to the checksum in the last eight bytes.
+    ///
+    /// # Errors
+    ///
+    /// The [`Header::read`] and [`read_to_checksum`] errors.
+    pub fn open<'a>(&self, bytes: &'a [u8]) -> Result<ByteReader<'a>, RecoveryError> {
+        let mut r = ByteReader::new(bytes);
+        self.read(&mut r)?;
+        read_to_checksum(&mut r)
+    }
+
+    /// Reads and checks the header.
+    ///
+    /// # Errors
+    ///
+    /// [`RecoveryError::BadMagic`] for a short or wrong magic,
+    /// [`RecoveryError::Truncated`] for a short version field, and
+    /// [`RecoveryError::UnsupportedVersion`] for another version.
+    pub fn read(&self, r: &mut ByteReader<'_>) -> Result<(), RecoveryError> {
+        if r.bytes(4).map_err(|_| RecoveryError::BadMagic)? != self.magic {
+            return Err(RecoveryError::BadMagic);
+        }
+        let version = if self.narrow { u32::from(r.u8()?) } else { r.u32()? };
+        if version != self.version {
+            return Err(RecoveryError::UnsupportedVersion { version });
+        }
+        Ok(())
+    }
+}
+
+/// Appends one section framed as `[tag u32][len u64][payload][fnv u64]`.
+pub fn write_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    let from = out.len();
+    out.extend_from_slice(payload);
+    write_checksum(out, from);
+}
+
+/// Reads the next section, which must carry `expect`, and returns a
+/// reader over its checked payload.
+///
+/// # Errors
+///
+/// The [`read_any_section`] errors, and [`RecoveryError::CorruptSnapshot`]
+/// at the section's offset for another tag.
+pub fn read_section<'a>(
+    r: &mut ByteReader<'a>,
+    expect: u32,
+) -> Result<ByteReader<'a>, RecoveryError> {
+    let offset = r.offset();
+    let (tag, payload) = read_any_section(r)?;
+    if tag != expect {
+        return Err(RecoveryError::CorruptSnapshot { offset });
+    }
+    Ok(ByteReader::new(payload))
+}
+
+/// Reads the next section whatever its tag, returning the tag and the
+/// checked payload.
+///
+/// # Errors
+///
+/// [`RecoveryError::Truncated`], [`RecoveryError::CorruptSnapshot`] at
+/// the section's offset for a length past `usize`, and
+/// [`RecoveryError::ChecksumMismatch`] naming the tag.
+pub fn read_any_section<'a>(r: &mut ByteReader<'a>) -> Result<(u32, &'a [u8]), RecoveryError> {
+    let offset = r.offset();
+    let tag = r.u32()?;
+    let len = r.u64()?;
+    let len = usize::try_from(len).map_err(|_| RecoveryError::CorruptSnapshot { offset })?;
+    let from = r.offset();
+    let payload = r.bytes(len)?;
+    read_checksum(r, from, tag)?;
+    Ok((tag, payload))
+}
+
+/// Appends the FNV-1a-64 checksum of `out[from..]`.
+pub fn write_checksum(out: &mut Vec<u8>, from: usize) {
+    let checksum = fnv1a(&out[from..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
+}
+
+/// Reads a stored checksum at the reader's position and checks it against
+/// the bytes from offset `from` up to that position.
+///
+/// # Errors
+///
+/// [`RecoveryError::Truncated`] when fewer than eight bytes remain and
+/// [`RecoveryError::ChecksumMismatch`] naming `section` on a mismatch.
+pub fn read_checksum(
+    r: &mut ByteReader<'_>,
+    from: usize,
+    section: u32,
+) -> Result<(), RecoveryError> {
+    let covered = &r.buf[from..r.pos];
+    if fnv1a(covered) != r.u64()? {
+        return Err(RecoveryError::ChecksumMismatch { section });
+    }
+    Ok(())
+}
+
+/// Reads the rest of the input as a payload followed by its checksum in
+/// the last eight bytes, and returns a reader over the checked payload
+/// (section 0 in a mismatch).
+///
+/// # Errors
+///
+/// [`RecoveryError::Truncated`] when fewer than eight bytes remain and
+/// [`RecoveryError::ChecksumMismatch`] on a mismatch.
+pub fn read_to_checksum<'a>(r: &mut ByteReader<'a>) -> Result<ByteReader<'a>, RecoveryError> {
+    let from = r.offset();
+    let len = r
+        .remaining()
+        .checked_sub(8)
+        .ok_or(RecoveryError::Truncated { offset: from })?;
+    let payload = r.bytes(len)?;
+    read_checksum(r, from, 0)?;
+    Ok(ByteReader::new(payload))
+}
+
+/// Admits a declared entry count only if `remaining` bytes can hold that
+/// many entries of at least `min_entry` bytes each. A checksummed header
+/// can still name any count; refusing it here turns a forged count into a
+/// typed error instead of a reservation the host cannot make.
+///
+/// # Errors
+///
+/// [`RecoveryError::CorruptSnapshot`] at `offset`, the count's own offset.
+pub fn bound_count(
+    count: u64,
+    min_entry: usize,
+    remaining: usize,
+    offset: usize,
+) -> Result<usize, RecoveryError> {
+    let room = remaining / min_entry.max(1);
+    match usize::try_from(count) {
+        Ok(count) if count <= room => Ok(count),
+        _ => Err(RecoveryError::CorruptSnapshot { offset }),
+    }
+}
+
+/// Admits the next entry of an indexed section (`MTSN`'s `DATA`, `MACS`,
+/// one level of `LEVELS`) only if its `index` lies past the previous
+/// entry's; `next` starts at 0. Writers emit strictly ascending indices
+/// (`PagedStore::iter`), so a descending or repeated index is a
+/// non-canonical image: refused, not inserted wherever it says.
+///
+/// # Errors
+///
+/// [`RecoveryError::CorruptSnapshot`] at `offset`, the entry's offset.
+pub fn ascending(next: &mut u64, index: u64, offset: usize) -> Result<(), RecoveryError> {
+    if index < *next {
+        return Err(RecoveryError::CorruptSnapshot { offset });
+    }
+    *next = index.saturating_add(1);
+    Ok(())
+}
+
+/// A fully-consumed reader: bytes left over are corruption.
+///
+/// # Errors
+///
+/// [`RecoveryError::CorruptSnapshot`] at the first unread byte.
+pub fn expect_exhausted(r: &ByteReader<'_>) -> Result<(), RecoveryError> {
+    if r.is_exhausted() {
+        Ok(())
+    } else {
+        Err(RecoveryError::CorruptSnapshot { offset: r.offset() })
+    }
 }
 
 /// FNV-1a 64-bit checksum — fast, dependency-free, and plenty to detect
@@ -267,6 +542,63 @@ mod tests {
         // A failed read does not advance the cursor.
         assert_eq!(r.offset(), 1);
         assert_eq!(r.remaining(), 3);
+    }
+
+    #[test]
+    fn headers_refuse_short_or_foreign_magic_and_other_versions() {
+        const WIDE: Header = Header::new(*b"MTXX", 3);
+        const NARROW: Header = Header::narrow(*b"MTYY", 2);
+        for (header, len) in [(WIDE, 8), (NARROW, 5)] {
+            let mut out = Vec::new();
+            header.write(&mut out);
+            assert_eq!(out.len(), len);
+            assert!(header.matches(&out));
+            header.read(&mut ByteReader::new(&out)).unwrap();
+            for cut in 0..4 {
+                let err = header.read(&mut ByteReader::new(&out[..cut])).unwrap_err();
+                assert_eq!(err, RecoveryError::BadMagic);
+            }
+            let mut foreign = out.clone();
+            foreign[0] ^= 1;
+            let err = header.read(&mut ByteReader::new(&foreign)).unwrap_err();
+            assert_eq!(err, RecoveryError::BadMagic);
+            let mut other = out.clone();
+            other[4] = 9;
+            let err = header.read(&mut ByteReader::new(&other)).unwrap_err();
+            assert_eq!(err, RecoveryError::UnsupportedVersion { version: 9 });
+        }
+    }
+
+    #[test]
+    fn sealed_payloads_check_their_span() {
+        const HEADER: Header = Header::new(*b"MTXX", 1);
+        let image = HEADER.seal(b"payload");
+        let mut r = HEADER.open(&image).unwrap();
+        assert_eq!(r.bytes(7).unwrap(), b"payload");
+        assert!(r.is_exhausted());
+        let mut flipped = image.clone();
+        flipped[9] ^= 1;
+        assert_eq!(
+            HEADER.open(&flipped).unwrap_err(),
+            RecoveryError::ChecksumMismatch { section: 0 }
+        );
+        assert_eq!(HEADER.open(&image[..15]).unwrap_err(), RecoveryError::Truncated { offset: 8 });
+    }
+
+    #[test]
+    fn counts_the_rest_cannot_hold_are_refused() {
+        assert_eq!(bound_count(3, 16, 48, 5), Ok(3));
+        assert_eq!(bound_count(4, 16, 63, 5), Err(RecoveryError::CorruptSnapshot { offset: 5 }));
+        assert_eq!(bound_count(u64::MAX, 1, 100, 7), Err(RecoveryError::CorruptSnapshot { offset: 7 }));
+        let mut w = ByteWriter::new();
+        w.u32(2);
+        w.u64(1);
+        let bytes = w.into_bytes();
+        assert_eq!(ByteReader::new(&bytes).count_u32(4), Ok(2));
+        assert_eq!(
+            ByteReader::new(&bytes).count_u32(5),
+            Err(RecoveryError::CorruptSnapshot { offset: 0 })
+        );
     }
 
     #[test]

@@ -1,33 +1,26 @@
-//! Snapshot format for the metadata (timing) engine: counter lines, exact
-//! cache residency — tags, dirty bits, LRU ticks — and statistics.
-//!
-//! The acceptance bar is *lockstep continuation*: an engine restored from
-//! a snapshot must emit the same access stream, access for access, as the
-//! original engine continuing uninterrupted. That requires more than the
-//! architectural state — LRU victim selection depends on the per-way tick
-//! values and the global tick counter, so both are serialized verbatim.
-//!
-//! Layout mirrors the memory snapshot (`b"MTEN"` magic + version +
-//! checksummed sections); see [`crate::persist`] for the framing.
+//! Field-exact codecs of the timing engine's statistics: [`EngineStats`],
+//! [`CacheStats`] and [`Histogram`]. They frame nothing themselves; the
+//! simulator's result checkpoints (`MTSR`, `morphtree_sim::persist`) and
+//! the sweep checkpoints (`MTLC`, `morphtree_experiments::checkpoint`)
+//! embed them in their payloads.
 
 use crate::metadata::stats::USED_FRACTION_BINS;
-use crate::metadata::{
-    CacheStats, EngineOptions, EngineStats, MacMode, MetadataEngine, ReplacementPolicy,
-    VerificationMode,
-};
+use crate::metadata::{CacheStats, EngineStats, STAT_LEVELS};
 use crate::obs::{Histogram, NUM_BUCKETS};
 
 use super::codec::{ByteReader, ByteWriter};
-use super::{
-    read_config, read_section, write_config, write_section, RecoveryError, SEC_CONFIG,
-};
+use super::RecoveryError;
 
-/// Engine snapshot magic (`MTEN` = MorphTree ENgine).
-pub const ENGINE_MAGIC: [u8; 4] = *b"MTEN";
+/// Encoded size of a [`write_histogram`] payload.
+pub const HISTOGRAM_BYTES: usize = (NUM_BUCKETS + 5) * 8;
 
-const SEC_OPTIONS: u32 = 2;
-const SEC_CACHE: u32 = 6;
-const SEC_STATS: u32 = 7;
+/// Smallest encoded [`write_stats`] payload (both per-level vectors
+/// empty), for bounding entry counts before allocating.
+pub const STATS_MIN_BYTES: usize =
+    (2 + 7 + 7 + 2 * USED_FRACTION_BINS + 5 + 3) * 8 + 2 * 4 + HISTOGRAM_BYTES;
+
+/// Encoded size of a [`write_cache_stats`] payload.
+pub const CACHE_STATS_BYTES: usize = (2 + 3 * STAT_LEVELS) * 8;
 
 /// Serializes a [`Histogram`] field-exactly (buckets, count, 128-bit sum,
 /// min/max sentinels), for embedding inside a larger snapshot payload.
@@ -58,8 +51,7 @@ pub fn read_histogram(r: &mut ByteReader<'_>) -> Result<Histogram, RecoveryError
 }
 
 /// Serializes an [`EngineStats`] field-exactly, for embedding inside a
-/// larger snapshot payload (the engine snapshot's STATS section, and the
-/// simulator's result checkpoints).
+/// larger checkpoint payload.
 pub fn write_stats(w: &mut ByteWriter, stats: &EngineStats) {
     w.u64(stats.data_reads);
     w.u64(stats.data_writes);
@@ -186,228 +178,20 @@ pub fn read_cache_stats(r: &mut ByteReader<'_>) -> Result<CacheStats, RecoveryEr
     Ok(stats)
 }
 
-/// Serializes the complete state of a [`MetadataEngine`].
-#[must_use]
-pub fn save_engine(engine: &MetadataEngine) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&ENGINE_MAGIC);
-    out.extend_from_slice(&super::VERSION.to_le_bytes());
-
-    let mut w = ByteWriter::new();
-    write_config(&mut w, engine.config());
-    write_section(&mut out, SEC_CONFIG, &w.into_bytes());
-
-    let cache = engine.cache();
-    let mut w = ByteWriter::new();
-    w.u64(engine.geometry().memory_bytes());
-    w.u64(cache.capacity_bytes() as u64);
-    w.u8(match engine.mac_mode() {
-        MacMode::Inline => 0,
-        MacMode::Separate => 1,
-    });
-    w.u8(match engine.verification() {
-        VerificationMode::Strict => 0,
-        VerificationMode::Speculative => 1,
-    });
-    w.u8(match cache.policy() {
-        ReplacementPolicy::Lru => 0,
-        ReplacementPolicy::LevelAware => 1,
-    });
-    write_section(&mut out, SEC_OPTIONS, &w.into_bytes());
-
-    engine.tree().write_levels(&mut out);
-
-    let mut w = ByteWriter::new();
-    let (tick, entries) = cache.export_entries();
-    w.u64(tick);
-    w.u64(entries.len() as u64);
-    for (tag, way_tick, dirty, priority) in entries {
-        w.u64(tag);
-        w.u64(way_tick);
-        w.bool(dirty);
-        w.u8(priority);
-    }
-    write_cache_stats(&mut w, cache.stats());
-    write_section(&mut out, SEC_CACHE, &w.into_bytes());
-
-    let mut w = ByteWriter::new();
-    write_stats(&mut w, engine.stats());
-    write_section(&mut out, SEC_STATS, &w.into_bytes());
-
-    out
-}
-
-/// Deserializes a [`save_engine`] snapshot into an engine that continues
-/// access-for-access identically to the one that was saved.
-///
-/// # Errors
-///
-/// Returns a [`RecoveryError`] on bad magic/version, truncation, checksum
-/// mismatch, structural corruption (including line indices that do not
-/// strictly ascend within a level), out-of-range line indices, or counter
-/// images that fail to decode.
-pub fn load_engine(bytes: &[u8]) -> Result<MetadataEngine, RecoveryError> {
-    let mut r = ByteReader::new(bytes);
-    if r.bytes(4).map_err(|_| RecoveryError::BadMagic)? != ENGINE_MAGIC {
-        return Err(RecoveryError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != super::VERSION {
-        return Err(RecoveryError::UnsupportedVersion { version });
-    }
-
-    let mut sec = read_section(&mut r, SEC_CONFIG)?;
-    let config = read_config(&mut sec)?;
-    super::expect_exhausted(&sec)?;
-
-    let mut sec = read_section(&mut r, SEC_OPTIONS)?;
-    let offset = sec.offset();
-    let memory_bytes = sec.u64()?;
-    let cache_bytes = sec.u64()?;
-    let mac_mode = match sec.u8()? {
-        0 => MacMode::Inline,
-        1 => MacMode::Separate,
-        _ => return Err(RecoveryError::CorruptSnapshot { offset }),
-    };
-    let verification = match sec.u8()? {
-        0 => VerificationMode::Strict,
-        1 => VerificationMode::Speculative,
-        _ => return Err(RecoveryError::CorruptSnapshot { offset }),
-    };
-    let replacement = match sec.u8()? {
-        0 => ReplacementPolicy::Lru,
-        1 => ReplacementPolicy::LevelAware,
-        _ => return Err(RecoveryError::CorruptSnapshot { offset }),
-    };
-    super::expect_exhausted(&sec)?;
-    if memory_bytes == 0
-        || memory_bytes % crate::CACHELINE_BYTES as u64 != 0
-        || memory_bytes > super::MAX_MEMORY_BYTES
-    {
-        return Err(RecoveryError::CorruptSnapshot { offset });
-    }
-    let cache_bytes = usize::try_from(cache_bytes)
-        .map_err(|_| RecoveryError::CorruptSnapshot { offset })?;
-    // The engine constructs an 8-way cache; reject shapes its constructor
-    // would panic on, and bound the allocation.
-    let line = crate::CACHELINE_BYTES;
-    if cache_bytes == 0 || cache_bytes % (8 * line) != 0 || cache_bytes > (1 << 30) {
-        return Err(RecoveryError::CorruptSnapshot { offset });
-    }
-
-    let mut engine = MetadataEngine::with_options(
-        config,
-        memory_bytes,
-        cache_bytes,
-        EngineOptions { mac_mode, verification, replacement },
-    );
-
-    engine.tree_mut().read_levels(&mut r)?;
-
-    let mut sec = read_section(&mut r, SEC_CACHE)?;
-    let cache_offset = sec.offset();
-    let tick = sec.u64()?;
-    let n_entries = sec.u64()?;
-    let expected = cache_bytes / line;
-    if n_entries != expected as u64 {
-        return Err(RecoveryError::CorruptSnapshot { offset: cache_offset });
-    }
-    let mut entries = Vec::with_capacity(expected);
-    for _ in 0..expected {
-        let tag = sec.u64()?;
-        let way_tick = sec.u64()?;
-        let dirty = sec.bool()?;
-        let priority = sec.u8()?;
-        entries.push((tag, way_tick, dirty, priority));
-    }
-    if !engine.cache_mut().import_entries(tick, &entries) {
-        return Err(RecoveryError::CorruptSnapshot { offset: cache_offset });
-    }
-    engine.cache_mut().set_stats(read_cache_stats(&mut sec)?);
-    super::expect_exhausted(&sec)?;
-
-    let mut sec = read_section(&mut r, SEC_STATS)?;
-    let stats = read_stats(&mut sec)?;
-    super::expect_exhausted(&sec)?;
-    engine.set_stats(stats);
-
-    super::expect_exhausted(&r)?;
-    Ok(engine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::TreeConfig;
-
-    const MIB: u64 = 1 << 20;
-
-    fn drive(engine: &mut MetadataEngine, rounds: std::ops::Range<u64>) -> Vec<crate::metadata::MemAccess> {
-        let mut out = Vec::new();
-        for i in rounds {
-            let addr = (i * 67 + 13) % 2000 * 64;
-            if i % 3 == 0 {
-                engine.write(addr, &mut out);
-            } else {
-                engine.read(addr, &mut out);
-            }
-        }
-        out
-    }
 
     #[test]
-    fn restored_engine_continues_in_lockstep() {
-        let mut original = MetadataEngine::with_options(
-            TreeConfig::morphtree(),
-            64 * MIB,
-            4096,
-            EngineOptions::default(),
-        );
-        let _ = drive(&mut original, 0..500);
-        let snap = save_engine(&original);
-        let mut restored = load_engine(&snap).unwrap();
-
-        assert_eq!(restored.stats(), original.stats());
-        assert_eq!(restored.cache().stats(), original.cache().stats());
-        assert_eq!(restored.cache().occupancy(), original.cache().occupancy());
-
-        // The continuation is access-for-access identical, so the restored
-        // engine is indistinguishable from one that never stopped.
-        let stream_a = drive(&mut original, 500..1000);
-        let stream_b = drive(&mut restored, 500..1000);
-        assert_eq!(stream_a, stream_b);
-        assert_eq!(restored.stats(), original.stats());
-    }
-
-    #[test]
-    fn engine_snapshot_is_deterministic_and_errors_are_typed() {
-        let mut engine = MetadataEngine::with_options(
-            TreeConfig::sc64(),
-            16 * MIB,
-            4096,
-            EngineOptions {
-                mac_mode: MacMode::Separate,
-                verification: VerificationMode::Speculative,
-                replacement: ReplacementPolicy::LevelAware,
-            },
-        );
-        let _ = drive(&mut engine, 0..200);
-        let snap = save_engine(&engine);
-        let restored = load_engine(&snap).unwrap();
-        assert_eq!(save_engine(&restored), snap);
-
-        assert_eq!(load_engine(b"MTSN").unwrap_err(), RecoveryError::BadMagic);
-        for cut in 0..snap.len() {
-            let err = load_engine(&snap[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    RecoveryError::BadMagic
-                        | RecoveryError::Truncated { .. }
-                        | RecoveryError::CorruptSnapshot { .. }
-                ),
-                "cut {cut}: {err}"
-            );
-        }
+    fn declared_sizes_match_the_encoders() {
+        let mut w = ByteWriter::new();
+        write_histogram(&mut w, &Histogram::default());
+        assert_eq!(w.len(), HISTOGRAM_BYTES);
+        let mut w = ByteWriter::new();
+        write_stats(&mut w, &EngineStats::default());
+        assert_eq!(w.len(), STATS_MIN_BYTES);
+        let mut w = ByteWriter::new();
+        write_cache_stats(&mut w, &CacheStats::default());
+        assert_eq!(w.len(), CACHE_STATS_BYTES);
     }
 }

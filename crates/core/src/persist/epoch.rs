@@ -72,13 +72,11 @@ use crate::functional::{MutationJournal, SecureMemory, VerifyPlan};
 use crate::tree::TreeConfig;
 use crate::CACHELINE_BYTES;
 
-use super::codec::{fnv1a, ByteReader};
+use super::codec::{read_checksum, write_checksum, ByteReader, ByteWriter};
 use super::wal::{replay_epochs, WalRecord, WalWriter};
 use super::{
-    apply_wal_txn, load_memory, parse_sharded, save_memory, write_section, RecoveryError,
-    MAGIC_SHARDED, SEC_SHARD, SEC_SHARD_HEADER, VERSION,
+    apply_wal_txn, load_memory, parse_sharded, save_memory, write_sharded, RecoveryError,
 };
-use super::ByteWriter;
 
 /// Which half of the two-phase epoch cut a seal records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -169,15 +167,17 @@ impl EpochSeal {
     /// Serializes the seal (see the type docs for the layout).
     #[must_use]
     pub fn encode(&self) -> [u8; Self::ENCODED_LEN] {
-        let mut out = [0u8; Self::ENCODED_LEN];
-        out[0..8].copy_from_slice(&self.epoch.to_le_bytes());
-        out[8] = self.phase as u8;
-        out[9..17].copy_from_slice(&self.root_digest.to_le_bytes());
-        out[17..25].copy_from_slice(&self.combined_root.to_le_bytes());
-        out[25..33].copy_from_slice(&self.mac.to_le_bytes());
-        let crc = fnv1a(&out[..33]);
-        out[33..41].copy_from_slice(&crc.to_le_bytes());
-        out
+        let mut w = ByteWriter::new();
+        w.u64(self.epoch);
+        w.u8(self.phase as u8);
+        w.u64(self.root_digest);
+        w.u64(self.combined_root);
+        w.u64(self.mac);
+        let mut out = w.into_bytes();
+        write_checksum(&mut out, 0);
+        let mut image = [0u8; Self::ENCODED_LEN];
+        image.copy_from_slice(&out);
+        image
     }
 
     /// Deserializes a seal image.
@@ -202,10 +202,12 @@ impl EpochSeal {
         let combined_root = r.u64()?;
         let mac = r.u64()?;
         let crc_offset = r.offset();
-        let stored = r.u64()?;
-        if fnv1a(&bytes[..33]) != stored {
-            return Err(RecoveryError::CorruptSeal { offset: crc_offset });
-        }
+        read_checksum(&mut r, 0, 0).map_err(|err| match err {
+            RecoveryError::ChecksumMismatch { .. } => {
+                RecoveryError::CorruptSeal { offset: crc_offset }
+            }
+            other => other,
+        })?;
         if !r.is_exhausted() {
             return Err(RecoveryError::CorruptSeal { offset: r.offset() });
         }
@@ -802,19 +804,8 @@ impl EpochShardedMemory {
     /// for [`recover_sharded_bounded`].
     #[must_use]
     pub fn sealed_container(&self) -> Vec<u8> {
-        let plan = self.live.plan();
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC_SHARDED);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        let mut w = ByteWriter::new();
-        w.u64(plan.memory_bytes());
-        w.u32(plan.shards() as u32);
-        w.bytes(&self.live.tenant_key());
-        write_section(&mut out, SEC_SHARD_HEADER, &w.into_bytes());
-        for log in &self.logs {
-            write_section(&mut out, SEC_SHARD, &save_memory(&log.sealed));
-        }
-        out
+        let sealed = self.logs.iter().map(|log| &log.sealed);
+        write_sharded(self.live.plan(), self.live.tenant_key(), sealed)
     }
 
     /// One shard's open-epoch WAL.
@@ -867,21 +858,14 @@ impl EpochShardedMemory {
             0
         };
 
-        let plan = self.live.plan();
-        let mut container = Vec::new();
-        container.extend_from_slice(&MAGIC_SHARDED);
-        container.extend_from_slice(&VERSION.to_le_bytes());
-        let mut w = ByteWriter::new();
-        w.u64(plan.memory_bytes());
-        w.u32(plan.shards() as u32);
-        w.bytes(&self.live.tenant_key());
-        write_section(&mut container, SEC_SHARD_HEADER, &w.into_bytes());
+        let bases =
+            self.logs.iter().enumerate().map(|(s, log)| folded.get(s).unwrap_or(&log.sealed));
+        let container = write_sharded(self.live.plan(), self.live.tenant_key(), bases);
 
         let mut wals = Vec::with_capacity(shards);
         for (s, log) in self.logs.iter().enumerate() {
             match folded.get(s) {
                 Some(state) => {
-                    write_section(&mut container, SEC_SHARD, &save_memory(state));
                     let mut wal = WalWriter::new();
                     let root = state.root_digest();
                     wal.append(&WalRecord::Seal(EpochSeal::new(
@@ -902,10 +886,7 @@ impl EpochShardedMemory {
                     }
                     wals.push(wal.bytes().to_vec());
                 }
-                None => {
-                    write_section(&mut container, SEC_SHARD, &save_memory(&log.sealed));
-                    wals.push(log.wal.bytes().to_vec());
-                }
+                None => wals.push(log.wal.bytes().to_vec()),
             }
         }
         (container, wals)

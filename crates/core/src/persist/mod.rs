@@ -18,7 +18,8 @@
 //! # Format overview
 //!
 //! A snapshot is `b"MTSN"` + version + a fixed sequence of sections, each
-//! framed as `[tag: u32][len: u64][payload][fnv1a64(payload): u64]`:
+//! framed as `[tag: u32][len: u64][payload][fnv1a64(payload): u64]` by
+//! [`codec`], the one place that knows container framing:
 //!
 //! | tag | section  | payload |
 //! |-----|----------|---------|
@@ -32,8 +33,9 @@
 //! equal states produce byte-identical snapshots regardless of history —
 //! the property the resumed-sweep determinism tests pin.
 //!
-//! The WAL format and its torn-write rules live in [`wal`]; the metadata
-//! (timing) engine has its own snapshot in [`engine`].
+//! The WAL format and its torn-write rules live in [`wal`]; the field
+//! codecs of the timing engine's statistics, which the simulator's result
+//! checkpoints embed, live in [`engine`].
 //!
 //! # Failure taxonomy
 //!
@@ -60,7 +62,10 @@ pub mod engine;
 pub mod epoch;
 pub mod wal;
 
-use codec::{fnv1a, ByteReader, ByteWriter, Truncated};
+use codec::{
+    ascending, expect_exhausted, read_checksum, read_section, write_checksum, write_section,
+    ByteReader, ByteWriter, Header, Truncated,
+};
 pub use epoch::{
     recover_bounded, recover_sharded_bounded, DegradedShardedMemory, EpochMemory,
     EpochSeal, EpochShardedMemory, RecoveryMode, RecoveryStats, SealPhase, ShardRecovery,
@@ -79,6 +84,12 @@ pub const MAGIC_SHARDED: [u8; 4] = *b"MTSH";
 pub const MAGIC_ROOT: [u8; 4] = *b"MTRT";
 /// Current snapshot format version.
 pub const VERSION: u32 = 1;
+
+const SNAPSHOT: Header = Header::new(MAGIC, VERSION);
+/// The `MTSH` container's header; [`Header::matches`] tells a sharded
+/// image from a plain one.
+pub const SHARDED: Header = Header::new(MAGIC_SHARDED, VERSION);
+const ROOT: Header = Header::new(MAGIC_ROOT, VERSION);
 
 /// Upper bound on the protected-memory size a snapshot may declare
 /// (1 TiB). A corrupt size field must fail typed, not exhaust the host
@@ -259,13 +270,10 @@ impl From<Truncated> for RecoveryError {
 /// bytes. 24 bytes — the only state a [`crate::proof`] verifier needs.
 #[must_use]
 pub fn save_root(root: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.bytes(&MAGIC_ROOT);
-    w.u32(VERSION);
-    w.u64(root);
-    let mut out = w.into_bytes();
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    let mut out = Vec::with_capacity(24);
+    ROOT.write(&mut out);
+    out.extend_from_slice(&root.to_le_bytes());
+    write_checksum(&mut out, 0);
     out
 }
 
@@ -277,21 +285,10 @@ pub fn save_root(root: u64) -> Vec<u8> {
 /// checksum mismatch, or trailing bytes.
 pub fn load_root(bytes: &[u8]) -> Result<u64, RecoveryError> {
     let mut r = ByteReader::new(bytes);
-    if r.bytes(4).map_err(RecoveryError::from)? != MAGIC_ROOT {
-        return Err(RecoveryError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(RecoveryError::UnsupportedVersion { version });
-    }
+    ROOT.read(&mut r)?;
     let root = r.u64()?;
-    let stored = r.u64()?;
-    if fnv1a(&bytes[..16]) != stored {
-        return Err(RecoveryError::ChecksumMismatch { section: SEC_ROOT });
-    }
-    if !r.is_exhausted() {
-        return Err(RecoveryError::CorruptSnapshot { offset: r.offset() });
-    }
+    read_checksum(&mut r, 0, SEC_ROOT)?;
+    expect_exhausted(&r)?;
     Ok(root)
 }
 
@@ -364,54 +361,6 @@ pub(crate) fn read_config(r: &mut ByteReader<'_>) -> Result<TreeConfig, Recovery
     Ok(TreeConfig::new(name, enc_org, tree_orgs))
 }
 
-pub(crate) fn write_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-}
-
-pub(crate) fn read_section<'a>(
-    r: &mut ByteReader<'a>,
-    expect: u32,
-) -> Result<ByteReader<'a>, RecoveryError> {
-    let offset = r.offset();
-    let tag = r.u32()?;
-    if tag != expect {
-        return Err(RecoveryError::CorruptSnapshot { offset });
-    }
-    let len = r.u64()?;
-    let len = usize::try_from(len).map_err(|_| RecoveryError::CorruptSnapshot { offset })?;
-    let payload = r.bytes(len)?;
-    let stored = r.u64()?;
-    if fnv1a(payload) != stored {
-        return Err(RecoveryError::ChecksumMismatch { section: tag });
-    }
-    Ok(ByteReader::new(payload))
-}
-
-/// Admits the next entry of an indexed section (`SEC_DATA`, `SEC_MACS`,
-/// one level of `SEC_LEVELS`) only if its in-range `index` lies past the
-/// previous entry's; `next` starts at 0. Writers emit strictly ascending
-/// indices (`PagedStore::iter`), so a descending or repeated index is a
-/// non-canonical image: refused, not inserted wherever it says.
-pub(crate) fn ascending(next: &mut u64, index: u64, offset: usize) -> Result<(), RecoveryError> {
-    if index < *next {
-        return Err(RecoveryError::CorruptSnapshot { offset });
-    }
-    *next = index.saturating_add(1);
-    Ok(())
-}
-
-/// A fully-consumed section: trailing payload bytes are corruption.
-pub(crate) fn expect_exhausted(r: &ByteReader<'_>) -> Result<(), RecoveryError> {
-    if r.is_exhausted() {
-        Ok(())
-    } else {
-        Err(RecoveryError::CorruptSnapshot { offset: r.offset() })
-    }
-}
-
 /// Serializes the complete state of `mem` into a snapshot.
 ///
 /// The output is deterministic: equal memory states serialize
@@ -419,8 +368,7 @@ pub(crate) fn expect_exhausted(r: &ByteReader<'_>) -> Result<(), RecoveryError> 
 #[must_use]
 pub fn save_memory(mem: &SecureMemory) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
+    SNAPSHOT.write(&mut out);
 
     let mut w = ByteWriter::new();
     write_config(&mut w, mem.config());
@@ -467,13 +415,7 @@ pub fn save_memory(mem: &SecureMemory) -> Vec<u8> {
 /// out-of-range indices, or undecodable counter images.
 pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
     let mut r = ByteReader::new(bytes);
-    if r.bytes(4).map_err(|_| RecoveryError::BadMagic)? != MAGIC {
-        return Err(RecoveryError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(RecoveryError::UnsupportedVersion { version });
-    }
+    SNAPSHOT.read(&mut r)?;
 
     let mut sec = read_section(&mut r, SEC_CONFIG)?;
     let config = read_config(&mut sec)?;
@@ -499,7 +441,7 @@ pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
     mem.set_reencryptions(reencryptions);
 
     let mut sec = read_section(&mut r, SEC_DATA)?;
-    let count = sec.u64()?;
+    let count = sec.count_u64(8 + CACHELINE_BYTES)?;
     let mut next = 0;
     for _ in 0..count {
         let offset = sec.offset();
@@ -514,7 +456,7 @@ pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
     expect_exhausted(&sec)?;
 
     let mut sec = read_section(&mut r, SEC_MACS)?;
-    let count = sec.u64()?;
+    let count = sec.count_u64(8 + 8)?;
     let mut next = 0;
     for _ in 0..count {
         let offset = sec.offset();
@@ -597,19 +539,26 @@ pub(crate) fn apply_wal_txn(
 /// sharded memories serialize byte-identically.
 #[must_use]
 pub fn save_sharded(memory: &ShardedMemory) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC_SHARDED);
-    out.extend_from_slice(&VERSION.to_le_bytes());
+    let shards = (0..memory.plan().shards()).map(|shard| memory.shard(shard));
+    write_sharded(memory.plan(), memory.tenant_key(), shards)
+}
 
-    let plan = memory.plan();
+/// The one `MTSH` writer: the header section (partition geometry and
+/// tenant key), then one [`save_memory`] section per shard, in order.
+pub(crate) fn write_sharded<'a>(
+    plan: &ShardPlan,
+    tenant_key: [u8; 16],
+    shards: impl IntoIterator<Item = &'a SecureMemory>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    SHARDED.write(&mut out);
     let mut w = ByteWriter::new();
     w.u64(plan.memory_bytes());
     w.u32(plan.shards() as u32);
-    w.bytes(&memory.tenant_key());
+    w.bytes(&tenant_key);
     write_section(&mut out, SEC_SHARD_HEADER, &w.into_bytes());
-
-    for shard in 0..plan.shards() {
-        write_section(&mut out, SEC_SHARD, &save_memory(memory.shard(shard)));
+    for shard in shards {
+        write_section(&mut out, SEC_SHARD, &save_memory(shard));
     }
     out
 }
@@ -653,18 +602,13 @@ pub(crate) type ParsedShards<'a> = (ShardPlan, [u8; 16], Vec<&'a [u8]>);
 /// per-shard snapshot payloads (not yet decoded).
 pub(crate) fn parse_sharded(bytes: &[u8]) -> Result<ParsedShards<'_>, RecoveryError> {
     let mut r = ByteReader::new(bytes);
-    if r.bytes(4).map_err(|_| RecoveryError::BadMagic)? != MAGIC_SHARDED {
-        return Err(RecoveryError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(RecoveryError::UnsupportedVersion { version });
-    }
+    SHARDED.read(&mut r)?;
 
     let mut sec = read_section(&mut r, SEC_SHARD_HEADER)?;
     let header_offset = sec.offset();
     let memory_bytes = sec.u64()?;
-    let shard_count = sec.u32()? as usize;
+    let count_offset = sec.offset();
+    let shard_count = sec.u32()?;
     let key: [u8; 16] = sec
         .bytes(16)?
         .try_into()
@@ -673,6 +617,9 @@ pub(crate) fn parse_sharded(bytes: &[u8]) -> Result<ParsedShards<'_>, RecoveryEr
     if memory_bytes > MAX_MEMORY_BYTES {
         return Err(RecoveryError::CorruptSnapshot { offset: header_offset });
     }
+    // Each shard is a section of at least its 20 framing bytes.
+    let shard_count =
+        codec::bound_count(u64::from(shard_count), 4 + 8 + 8, r.remaining(), count_offset)?;
     let plan = ShardPlan::new(memory_bytes, shard_count).map_err(RecoveryError::ShardPlan)?;
 
     let mut sections = Vec::with_capacity(plan.shards());
@@ -839,6 +786,7 @@ impl PersistentMemory {
 
 #[cfg(test)]
 mod tests {
+    use super::codec::fnv1a;
     use super::*;
 
     const MIB: u64 = 1 << 20;
@@ -984,41 +932,40 @@ mod tests {
         let mut mem = SecureMemory::new(TreeConfig::morphtree(), MIB, KEY);
         mem.write(3, &[7; CACHELINE_BYTES]);
         let image = mem.tree().line(0, 0).unwrap().encode();
-        let mut snap = save_memory(&mem);
+        let snap = save_memory(&mem);
 
-        // Walk the sections to the LEVELS payload, flip bit 300 of the
-        // image inside it, and re-seal the section checksum.
-        let mut at = MAGIC.len() + 4;
-        loop {
-            let tag = u32::from_le_bytes(snap[at..at + 4].try_into().unwrap());
-            let len = u64::from_le_bytes(snap[at + 4..at + 12].try_into().unwrap()) as usize;
-            let payload = at + 12..at + 12 + len;
-            if tag == SEC_LEVELS {
-                let line = snap[payload.clone()].windows(64).position(|w| w == image).unwrap();
-                snap[payload.start + line + 300 / 8] ^= 1 << (300 % 8);
-                let sum = fnv1a(&snap[payload.clone()]);
-                snap[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
-                break;
-            }
-            at = payload.end + 8;
-        }
+        // Flip bit 300 of the image inside the LEVELS payload and re-seal
+        // the section checksum.
+        let (_, levels) = sections(&snap)[4];
+        let mut levels = levels.to_vec();
+        let line = levels.windows(64).position(|w| w == image).unwrap();
+        levels[line + 300 / 8] ^= 1 << (300 % 8);
+        let snap = with_section(&snap, SEC_LEVELS, &levels);
         assert_eq!(
             recover(&snap, &[]).unwrap_err(),
             RecoveryError::MalformedLine(CodecError::NonCanonical { bit: 300 })
         );
     }
 
-    /// `image` (an `MTSN` or `MTEN` file) with the payload of section
-    /// `tag` replaced by `payload` and the section's checksum re-sealed.
+    /// The `(tag, payload)` sections of an `MTSN` file, read through the
+    /// codec.
+    fn sections(image: &[u8]) -> Vec<(u32, &[u8])> {
+        let mut r = ByteReader::new(image);
+        SNAPSHOT.read(&mut r).unwrap();
+        let mut sections = Vec::new();
+        while !r.is_exhausted() {
+            sections.push(codec::read_any_section(&mut r).unwrap());
+        }
+        sections
+    }
+
+    /// `image` (an `MTSN` file) with the payload of section `tag` replaced
+    /// by `payload` and the section's checksum re-sealed.
     fn with_section(image: &[u8], tag: u32, payload: &[u8]) -> Vec<u8> {
-        let mut out = image[..MAGIC.len() + 4].to_vec();
-        let mut at = out.len();
-        while at < image.len() {
-            let this = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
-            let len = u64::from_le_bytes(image[at + 4..at + 12].try_into().unwrap()) as usize;
-            let body = &image[at + 12..at + 12 + len];
+        let mut out = Vec::new();
+        SNAPSHOT.write(&mut out);
+        for (this, body) in sections(image) {
             write_section(&mut out, this, if this == tag { payload } else { body });
-            at += 12 + len + 8;
         }
         out
     }
@@ -1114,31 +1061,6 @@ mod tests {
             );
             assert!(recover(&forged, &[]).is_err(), "section {tag}");
         }
-
-        // The metadata engine's level section follows the same rule.
-        let mut engine = crate::metadata::MetadataEngine::new(
-            TreeConfig::morphtree(),
-            MIB,
-            4096,
-            crate::metadata::MacMode::Inline,
-        );
-        let mut out = Vec::new();
-        for line in 0..64u64 {
-            engine.write(line * 200, &mut out);
-        }
-        let image = engine::save_engine(&engine);
-        let levels = level_entries(engine.tree().stores());
-        assert!(levels[0].len() > 1);
-        assert_eq!(with_section(&image, SEC_LEVELS, &levels_payload(&levels)), image);
-        for forged in [
-            with_level0(&levels, descending(levels[0].clone())),
-            with_level0(&levels, duplicated(levels[0].clone())),
-        ] {
-            assert_eq!(
-                engine::load_engine(&with_section(&image, SEC_LEVELS, &forged)).unwrap_err(),
-                RecoveryError::CorruptSnapshot { offset: 4 + 8 + 72 },
-            );
-        }
     }
 
     fn populated_sharded(shards: usize) -> ShardedMemory {
@@ -1196,6 +1118,30 @@ mod tests {
             recover_sharded(&zero_shards).unwrap_err(),
             RecoveryError::ShardPlan(ShardError::ZeroShards)
         );
+    }
+
+    #[test]
+    fn forged_shard_counts_are_refused_before_reserving() {
+        // A 56-byte container whose checksummed header declares 1 TiB in
+        // `shards` shards and carries none of them. The count is refused
+        // at its offset in the header before a slot per shard is reserved
+        // (u32::MAX slots once aborted the process).
+        for shards in [100_000_000u32, u32::MAX] {
+            let mut forged = Vec::new();
+            SHARDED.write(&mut forged);
+            let mut w = ByteWriter::new();
+            w.u64(MAX_MEMORY_BYTES);
+            w.u32(shards);
+            w.bytes(&KEY);
+            write_section(&mut forged, SEC_SHARD_HEADER, &w.into_bytes());
+            assert_eq!(forged.len(), 56);
+            let refused = Some(RecoveryError::CorruptSnapshot { offset: 8 });
+            assert_eq!(recover_sharded(&forged).err(), refused, "{shards} shards");
+            assert_eq!(verify_shards(&forged).err(), refused, "{shards} shards");
+            let no_wals: [&[u8]; 0] = [];
+            let bounded = recover_sharded_bounded(&forged, &no_wals).err();
+            assert_eq!(bounded, refused, "{shards} shards");
+        }
     }
 
     #[test]

@@ -76,15 +76,13 @@ use crate::error::CodecError;
 use crate::functional::{
     ancestors, canonical_lines, derive_mac_key, mac_batches, top_digest, SecureMemory,
 };
-use crate::persist::codec::{fnv1a, ByteReader, ByteWriter};
-use crate::persist::{read_config, write_config, MAX_MEMORY_BYTES};
+use crate::persist::codec::{read_to_checksum, write_checksum, ByteReader, ByteWriter, Header};
+use crate::persist::{read_config, write_config, RecoveryError, MAX_MEMORY_BYTES};
 use crate::tree::{TreeConfig, TreeGeometry};
 use crate::CACHELINE_BYTES;
 
-/// Proof file magic (`MTPR` = MorphTree PRoof).
-pub const MAGIC: [u8; 4] = *b"MTPR";
-/// Current proof format version.
-pub const VERSION: u8 = 1;
+/// Proof file header (`MTPR` = MorphTree PRoof), with a one-byte version.
+pub const HEADER: Header = Header::narrow(*b"MTPR", 1);
 
 /// Header kind byte: a serial (single-subtree) proof.
 const KIND_SERIAL: u8 = 1;
@@ -956,14 +954,9 @@ impl Proof {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.bytes(&MAGIC);
-        w.u8(VERSION);
         w.u8(KIND_SERIAL);
         encode_serial_body(self, &mut w);
-        let mut out = w.into_bytes();
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        framed(w)
     }
 
     /// Decodes a serial proof (strict: checksum, canonical varints, exact
@@ -986,8 +979,6 @@ impl ShardedProof {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.bytes(&MAGIC);
-        w.u8(VERSION);
         w.u8(KIND_SHARDED);
         w.bytes(&self.key);
         write_varint(&mut w, self.memory_bytes);
@@ -1002,10 +993,7 @@ impl ShardedProof {
             write_varint(&mut w, encoded.len() as u64);
             w.bytes(&encoded);
         }
-        let mut out = w.into_bytes();
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        framed(w)
     }
 
     /// Decodes a sharded proof (strict; see [`Proof::decode`]).
@@ -1032,17 +1020,35 @@ impl AnyProof {
     }
 }
 
-/// Splits off and validates the trailing checksum, returning the body.
-fn checked_body(bytes: &[u8]) -> Result<&[u8], ProofError> {
-    if bytes.len() < MAGIC.len() + 2 + 8 {
-        return Err(ProofError::Truncated { offset: bytes.len() });
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().map_err(|_| ProofError::ChecksumMismatch)?);
-    if fnv1a(body) != stored {
-        return Err(ProofError::ChecksumMismatch);
-    }
-    Ok(body)
+/// Frames an encoded proof: the header, `body`, then the checksum over
+/// every byte before it.
+fn framed(body: ByteWriter) -> Vec<u8> {
+    let body = body.into_bytes();
+    let mut out = Vec::with_capacity(5 + body.len() + 8);
+    HEADER.write(&mut out);
+    out.extend_from_slice(&body);
+    write_checksum(&mut out, 0);
+    out
+}
+
+/// Checks a proof's framing — the trailing checksum over every byte
+/// before it, then the header — and returns a reader over the checked
+/// bytes, positioned at the kind byte. The one place container framing
+/// failures become [`ProofError`]s.
+fn open(bytes: &[u8]) -> Result<ByteReader<'_>, ProofError> {
+    let framing = |err| match err {
+        RecoveryError::BadMagic => ProofError::BadMagic,
+        // A one-byte version field always fits.
+        RecoveryError::UnsupportedVersion { version } => {
+            ProofError::UnsupportedVersion { version: version as u8 }
+        }
+        RecoveryError::Truncated { offset } => ProofError::Truncated { offset },
+        // The checksum and header readers fail in no other way.
+        _ => ProofError::ChecksumMismatch,
+    };
+    let mut r = read_to_checksum(&mut ByteReader::new(bytes)).map_err(framing)?;
+    HEADER.read(&mut r).map_err(framing)?;
+    Ok(r)
 }
 
 fn truncated(t: crate::persist::codec::Truncated) -> ProofError {
@@ -1116,16 +1122,7 @@ fn decode_serial_body(r: &mut ByteReader<'_>) -> Result<Proof, ProofError> {
 ///
 /// Returns a typed [`ProofError`] on any framing violation.
 pub fn decode_proof(bytes: &[u8]) -> Result<AnyProof, ProofError> {
-    let body = checked_body(bytes)?;
-    let mut r = ByteReader::new(body);
-    let magic = r.bytes(4).map_err(truncated)?;
-    if magic != MAGIC {
-        return Err(ProofError::BadMagic);
-    }
-    let version = r.u8().map_err(truncated)?;
-    if version != VERSION {
-        return Err(ProofError::UnsupportedVersion { version });
-    }
+    let mut r = open(bytes)?;
     let kind = r.u8().map_err(truncated)?;
     let proof = match kind {
         KIND_SERIAL => AnyProof::Serial(decode_serial_body(&mut r)?),

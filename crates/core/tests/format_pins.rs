@@ -1,7 +1,7 @@
-//! Byte pins for every persisted format: `MTSN` (`save_memory`), `MTEN`
-//! (`save_engine`), an epoch memory's sealed `MTSN` base and its WAL,
-//! `MTSH` (`save_sharded`) and one `MTPR` proof, for every attack
-//! campaign configuration after a seeded history that overflows level 0.
+//! Byte pins for every persisted format: `MTSN` (`save_memory`), an
+//! epoch memory's sealed `MTSN` base and its WAL, `MTSH` (`save_sharded`)
+//! and one `MTPR` proof, for every attack campaign configuration after a
+//! seeded history that overflows level 0.
 //!
 //! The determinism tests elsewhere show equal states serialize equally;
 //! these pins show the bytes themselves do not move when the code that
@@ -10,9 +10,7 @@
 use morphtree_core::attack::campaign_configs;
 use morphtree_core::concurrent::ShardedMemory;
 use morphtree_core::functional::SecureMemory;
-use morphtree_core::metadata::{MacMode, MetadataEngine};
 use morphtree_core::persist::codec::fnv1a;
-use morphtree_core::persist::engine::save_engine;
 use morphtree_core::persist::{save_memory, save_sharded, EpochMemory};
 use morphtree_core::tree::TreeConfig;
 
@@ -20,14 +18,14 @@ use morphtree_core::tree::TreeConfig;
 const MEMORY: u64 = 256 << 10;
 const KEY: [u8; 16] = [0x5c; 16];
 
-/// `fnv1a` of `[MTSN, MTEN, sealed MTSN, WAL, MTSH, MTPR]` per config,
-/// in `campaign_configs()` order.
-const PINS: [(&str, [u64; 6]); 5] = [
-    ("sc64", [0x1b39719e3870fb19, 0x9272df4318cde995, 0x76066e252a3ec405, 0x198928c1496e8d9a, 0xddc5ffce9d20eb36, 0x57d720e563033649]),
-    ("vault", [0xe29781e9fb1fee4c, 0x49272c95ddf1f769, 0x7214d75effad61df, 0xe39fbf98649b6ba8, 0xb18fe85578d1e3b4, 0x28c8988b7f44df2e]),
-    ("zcc", [0x656f7a05ada12374, 0x76ba575e9193763e, 0x734e4c7ff2cdde1e, 0x7375db914e66980e, 0x9d98c1c1f80486fd, 0x23ab7e2cf1c71a6e]),
-    ("mcr", [0x7da0ba70bb1f7c01, 0xc2f5cfaef7252109, 0x6272ec77ea4ef14d, 0x173e9e9cb40553d1, 0x0363f2cd516d353a, 0xfef41cc145540bc0]),
-    ("morphtree", [0x07ab3e5344415a93, 0x275670b8bcfa0733, 0x6419489d1d89695e, 0x7b496befd7035c46, 0x1ebd649f0dcc3a7d, 0x8a2b53c88a2a3e7e]),
+/// `fnv1a` of `[MTSN, sealed MTSN, WAL, MTSH, MTPR]` per config, in
+/// `campaign_configs()` order.
+const PINS: [(&str, [u64; 5]); 5] = [
+    ("sc64", [0x1b39719e3870fb19, 0x76066e252a3ec405, 0x198928c1496e8d9a, 0xddc5ffce9d20eb36, 0x57d720e563033649]),
+    ("vault", [0xe29781e9fb1fee4c, 0x7214d75effad61df, 0xe39fbf98649b6ba8, 0xb18fe85578d1e3b4, 0x28c8988b7f44df2e]),
+    ("zcc", [0x656f7a05ada12374, 0x734e4c7ff2cdde1e, 0x7375db914e66980e, 0x9d98c1c1f80486fd, 0x23ab7e2cf1c71a6e]),
+    ("mcr", [0x7da0ba70bb1f7c01, 0x6272ec77ea4ef14d, 0x173e9e9cb40553d1, 0x0363f2cd516d353a, 0xfef41cc145540bc0]),
+    ("morphtree", [0x07ab3e5344415a93, 0x6419489d1d89695e, 0x7b496befd7035c46, 0x1ebd649f0dcc3a7d, 0x8a2b53c88a2a3e7e]),
 ];
 
 /// The seeded write history: scattered lines, then rounds of the §V
@@ -59,8 +57,8 @@ fn history() -> Vec<(u64, [u8; 64])> {
     ops
 }
 
-/// The six pinned byte strings for `config`.
-fn outputs(config: &TreeConfig) -> [Vec<u8>; 6] {
+/// The five pinned byte strings for `config`.
+fn outputs(config: &TreeConfig) -> [Vec<u8>; 5] {
     let ops = history();
 
     let mut memory = SecureMemory::new(config.clone(), MEMORY, KEY);
@@ -71,16 +69,6 @@ fn outputs(config: &TreeConfig) -> [Vec<u8>; 6] {
     // Line 1 was written three times; an overflow of its level-0 counter
     // line moves its counter past that.
     assert!(memory.counter_of(1) > 3, "{}: level 0 never overflowed", config.name());
-
-    let mut engine = MetadataEngine::new(config.clone(), MEMORY, 4096, MacMode::Inline);
-    let mut accesses = Vec::new();
-    for (i, (line, _)) in ops.iter().enumerate() {
-        if i % 5 == 4 {
-            engine.read(*line, &mut accesses);
-        }
-        engine.write(*line, &mut accesses);
-    }
-    assert!(engine.stats().overflows_by_level[0] > 0, "{}", config.name());
 
     let mut epochs = EpochMemory::new(config.clone(), MEMORY, KEY, 97);
     for (line, body) in &ops {
@@ -96,7 +84,6 @@ fn outputs(config: &TreeConfig) -> [Vec<u8>; 6] {
 
     [
         save_memory(&memory),
-        save_engine(&engine),
         epochs.sealed_snapshot(),
         epochs.wal_bytes().to_vec(),
         save_sharded(&sharded),

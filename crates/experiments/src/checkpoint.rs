@@ -20,22 +20,23 @@ use std::io::Write as _;
 use std::path::Path;
 
 use morphtree_core::metadata::{MacMode, ReplacementPolicy, VerificationMode};
-use morphtree_core::persist::codec::{fnv1a, ByteReader, ByteWriter};
-use morphtree_core::persist::engine::{read_stats, write_stats};
+use morphtree_core::persist::codec::{expect_exhausted, ByteWriter, Header};
+use morphtree_core::persist::engine::{read_stats, write_stats, STATS_MIN_BYTES};
 use morphtree_core::persist::RecoveryError;
-use morphtree_sim::persist::{read_result, write_result};
+use morphtree_sim::persist::{read_result, write_result, RESULT_MIN_BYTES};
 
 use crate::runner::{EngineKey, Lab, RunKey, Setup};
 
-/// Lab-checkpoint magic (`MTLC` = MorphTree Lab Checkpoint).
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"MTLC";
+/// Lab-checkpoint header (`MTLC` = MorphTree Lab Checkpoint).
+pub const CHECKPOINT_HEADER: Header = Header::new(*b"MTLC", 1);
 
-/// Lab-checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Smallest encoded simulation entry: empty names, cache size, three mode
+/// bytes, and the smallest result.
+const SIM_ENTRY_MIN_BYTES: usize = 2 * 4 + 8 + 3 + RESULT_MIN_BYTES;
 
-/// Upper bound on entries per section; a paper sweep memoizes a few
-/// hundred runs, so larger counts are corruption, not workloads.
-const MAX_ENTRIES: usize = 1 << 16;
+/// Smallest encoded engine-study entry: empty names, instruction count,
+/// and the smallest statistics.
+const ENGINE_ENTRY_MIN_BYTES: usize = 2 * 4 + 8 + STATS_MIN_BYTES;
 
 /// Why a checkpoint could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,22 +154,7 @@ pub fn checkpoint_bytes(lab: &Lab) -> Vec<u8> {
         write_stats(&mut w, &lab.engine_results()[key]);
     }
 
-    let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out
-}
-
-fn read_count(r: &mut ByteReader<'_>) -> Result<usize, RecoveryError> {
-    let offset = r.offset();
-    let n = r.u32()? as usize;
-    if n > MAX_ENTRIES {
-        return Err(RecoveryError::CorruptSnapshot { offset });
-    }
-    Ok(n)
+    CHECKPOINT_HEADER.seal(&w.into_bytes())
 }
 
 /// Restores a [`checkpoint_bytes`] image into `lab`'s memo. Returns the
@@ -180,30 +166,7 @@ fn read_count(r: &mut ByteReader<'_>) -> Result<usize, RecoveryError> {
 /// operating-point mismatch; the lab is only modified when the whole
 /// image parses.
 pub fn restore_into(lab: &mut Lab, bytes: &[u8]) -> Result<(usize, usize), CheckpointError> {
-    let mut r = ByteReader::new(bytes);
-    if r.bytes(4).map_err(|_| RecoveryError::BadMagic)? != CHECKPOINT_MAGIC {
-        return Err(RecoveryError::BadMagic.into());
-    }
-    let version = r.u32().map_err(RecoveryError::from)?;
-    if version != CHECKPOINT_VERSION {
-        return Err(RecoveryError::UnsupportedVersion { version }.into());
-    }
-    let remaining = r.remaining();
-    if remaining < 8 {
-        return Err(RecoveryError::Truncated { offset: r.offset() }.into());
-    }
-    let payload = r.bytes(remaining - 8).map_err(RecoveryError::from)?;
-    let stored = u64::from_le_bytes(
-        r.bytes(8)
-            .map_err(RecoveryError::from)?
-            .try_into()
-            .map_err(|_| RecoveryError::BadMagic)?,
-    );
-    if fnv1a(payload) != stored {
-        return Err(RecoveryError::ChecksumMismatch { section: 0 }.into());
-    }
-
-    let mut p = ByteReader::new(payload);
+    let mut p = CHECKPOINT_HEADER.open(bytes)?;
     let file_fingerprint = p.str().map_err(RecoveryError::from)?.to_owned();
     let current = fingerprint(lab.setup());
     if file_fingerprint != current {
@@ -211,7 +174,7 @@ pub fn restore_into(lab: &mut Lab, bytes: &[u8]) -> Result<(usize, usize), Check
     }
 
     let mut sims = Vec::new();
-    for _ in 0..read_count(&mut p)? {
+    for _ in 0..p.count_u32(SIM_ENTRY_MIN_BYTES)? {
         let workload = p.str().map_err(RecoveryError::from)?.to_owned();
         let config = p.str().map_err(RecoveryError::from)?.to_owned();
         let offset = p.offset();
@@ -238,16 +201,14 @@ pub fn restore_into(lab: &mut Lab, bytes: &[u8]) -> Result<(usize, usize), Check
     }
 
     let mut engines = Vec::new();
-    for _ in 0..read_count(&mut p)? {
+    for _ in 0..p.count_u32(ENGINE_ENTRY_MIN_BYTES)? {
         let workload = p.str().map_err(RecoveryError::from)?.to_owned();
         let config = p.str().map_err(RecoveryError::from)?.to_owned();
         let instructions = p.u64().map_err(RecoveryError::from)?;
         let stats = read_stats(&mut p)?;
         engines.push((EngineKey { workload, config, instructions }, stats));
     }
-    if !p.is_exhausted() {
-        return Err(RecoveryError::CorruptSnapshot { offset: p.offset() }.into());
-    }
+    expect_exhausted(&p)?;
 
     let counts = (sims.len(), engines.len());
     for (key, result) in sims {
@@ -397,9 +358,15 @@ mod tests {
             restore_into(&mut fresh, &flipped).unwrap_err(),
             CheckpointError::Corrupt(RecoveryError::ChecksumMismatch { .. })
         ));
-        for cut in (0..bytes.len()).step_by(97) {
+        for cut in 0..bytes.len() {
             let err = restore_into(&mut fresh, &bytes[..cut]).unwrap_err();
             assert!(matches!(err, CheckpointError::Corrupt(_)), "cut {cut}: {err}");
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x01;
+            let err = restore_into(&mut fresh, &flipped).unwrap_err();
+            assert!(matches!(err, CheckpointError::Corrupt(_)), "flip at {at}: {err}");
         }
         assert!(fresh.sim_results().is_empty(), "failed restores must not import");
     }

@@ -11,10 +11,10 @@
 //! and its typed [`RecoveryError`] taxonomy: every malformed input maps
 //! to an error, never a panic.
 
-use morphtree_core::persist::codec::{fnv1a, ByteReader, ByteWriter};
+use morphtree_core::persist::codec::{expect_exhausted, ByteReader, ByteWriter, Header};
 use morphtree_core::persist::engine::{
     read_cache_stats, read_histogram, read_stats, write_cache_stats, write_histogram,
-    write_stats,
+    write_stats, CACHE_STATS_BYTES, HISTOGRAM_BYTES, STATS_MIN_BYTES,
 };
 use morphtree_core::persist::RecoveryError;
 
@@ -22,16 +22,13 @@ use crate::dram::DramStats;
 use crate::energy::EnergyBreakdown;
 use crate::system::SimResult;
 
-/// Result-checkpoint magic (`MTSR` = MorphTree Sim Results).
-pub const RESULT_MAGIC: [u8; 4] = *b"MTSR";
+/// Result-checkpoint header (`MTSR` = MorphTree Sim Results).
+pub const RESULT_HEADER: Header = Header::new(*b"MTSR", 1);
 
-/// Result-checkpoint format version.
-pub const RESULT_VERSION: u32 = 1;
-
-/// Upper bound on results per checkpoint: a full paper sweep is a few
-/// hundred runs, so anything beyond this is a corrupt count field, not a
-/// workload — reject it before allocating.
-const MAX_RESULTS: usize = 1 << 16;
+/// Smallest encoded [`write_result`] payload (empty names), for bounding
+/// the result count before allocating.
+pub const RESULT_MIN_BYTES: usize =
+    2 * 4 + 2 * 8 + STATS_MIN_BYTES + CACHE_STATS_BYTES + 5 * 8 + 3 * HISTOGRAM_BYTES + 4 * 8;
 
 /// Serializes one [`SimResult`] field-exactly into `w` (embeddable inside
 /// a larger checkpoint payload).
@@ -97,13 +94,7 @@ pub fn save_results(fingerprint: &str, results: &[SimResult]) -> Vec<u8> {
     for result in results {
         write_result(&mut w, result);
     }
-    let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(&RESULT_MAGIC);
-    out.extend_from_slice(&RESULT_VERSION.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out
+    RESULT_HEADER.seal(&w.into_bytes())
 }
 
 /// Loads a [`save_results`] checkpoint, returning the fingerprint and the
@@ -114,39 +105,14 @@ pub fn save_results(fingerprint: &str, results: &[SimResult]) -> Vec<u8> {
 /// Returns a [`RecoveryError`] on bad magic/version, truncation, checksum
 /// mismatch, a corrupt count, or trailing garbage.
 pub fn load_results(bytes: &[u8]) -> Result<(String, Vec<SimResult>), RecoveryError> {
-    let mut r = ByteReader::new(bytes);
-    if r.bytes(4).map_err(|_| RecoveryError::BadMagic)? != RESULT_MAGIC {
-        return Err(RecoveryError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != RESULT_VERSION {
-        return Err(RecoveryError::UnsupportedVersion { version });
-    }
-    let remaining = r.remaining();
-    if remaining < 8 {
-        return Err(RecoveryError::Truncated { offset: r.offset() });
-    }
-    let payload = r.bytes(remaining - 8)?;
-    let stored = u64::from_le_bytes(
-        r.bytes(8)?.try_into().map_err(|_| RecoveryError::BadMagic)?,
-    );
-    if fnv1a(payload) != stored {
-        return Err(RecoveryError::ChecksumMismatch { section: 0 });
-    }
-    let mut p = ByteReader::new(payload);
+    let mut p = RESULT_HEADER.open(bytes)?;
     let fingerprint = p.str()?.to_owned();
-    let offset = p.offset();
-    let count = p.u32()? as usize;
-    if count > MAX_RESULTS {
-        return Err(RecoveryError::CorruptSnapshot { offset });
-    }
+    let count = p.count_u32(RESULT_MIN_BYTES)?;
     let mut results = Vec::with_capacity(count);
     for _ in 0..count {
         results.push(read_result(&mut p)?);
     }
-    if !p.is_exhausted() {
-        return Err(RecoveryError::CorruptSnapshot { offset: p.offset() });
-    }
+    expect_exhausted(&p)?;
     Ok((fingerprint, results))
 }
 
@@ -185,6 +151,41 @@ mod tests {
         // Serialization is a pure function of the results: re-saving the
         // restored batch reproduces the checkpoint bit for bit.
         assert_eq!(save_results(&fingerprint, &restored), bytes);
+    }
+
+    #[test]
+    fn result_min_bytes_is_the_smallest_encoding() {
+        let empty = SimResult {
+            workload: String::new(),
+            config: String::new(),
+            instructions: 0,
+            cycles: 0,
+            engine: Default::default(),
+            cache: Default::default(),
+            dram: Default::default(),
+            energy: Default::default(),
+        };
+        let mut w = ByteWriter::new();
+        write_result(&mut w, &empty);
+        assert_eq!(w.len(), RESULT_MIN_BYTES);
+    }
+
+    #[test]
+    fn a_count_the_bytes_cannot_hold_is_refused_before_reserving() {
+        // 26 bytes declaring 65,536 results: refused at the count's offset
+        // (after the fingerprint), not reserved and then truncated.
+        let mut w = ByteWriter::new();
+        w.str("fp");
+        w.u32(1 << 16);
+        let forged = RESULT_HEADER.seal(&w.into_bytes());
+        assert_eq!(forged.len(), 26);
+        assert_eq!(
+            load_results(&forged).unwrap_err(),
+            RecoveryError::CorruptSnapshot { offset: 6 }
+        );
+        // The writer's own counts pass the same bound.
+        let one = save_results("", &quick_results()[..1]);
+        assert_eq!(load_results(&one).unwrap().1.len(), 1);
     }
 
     #[test]
