@@ -176,12 +176,6 @@ impl EngineStats {
         }
     }
 
-    /// Records an overflow at `level` with `used` of `arity` counters in
-    /// use.
-    pub fn record_overflow(&mut self, level: usize, used: usize, arity: usize) {
-        self.record_overflow_kind(level, used, arity, crate::counters::OverflowKind::FullReset);
-    }
-
     /// Records an overflow including its [`crate::counters::OverflowKind`].
     pub fn record_overflow_kind(
         &mut self,
@@ -265,24 +259,12 @@ impl EngineStats {
         }
         self.total_overflows() as f64 * 1.0e6 / total as f64
     }
-
-    /// Normalized Fig 7 histogram (sums to 1.0 unless empty).
-    #[must_use]
-    pub fn overflow_fraction_histogram(&self) -> [f64; USED_FRACTION_BINS] {
-        let total: u64 = self.overflow_used_histogram.iter().sum();
-        let mut out = [0.0; USED_FRACTION_BINS];
-        if total > 0 {
-            for (o, &count) in out.iter_mut().zip(&self.overflow_used_histogram) {
-                *o = count as f64 / total as f64;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::OverflowKind;
 
     #[test]
     fn category_for_level_matches_fig16_legend() {
@@ -310,21 +292,19 @@ mod tests {
     #[test]
     fn overflow_histogram_bins() {
         let mut s = EngineStats::new(2);
-        s.record_overflow(0, 64, 64); // fully used -> last bin
-        s.record_overflow(1, 1, 64); // sparse -> first bin
+        s.record_overflow_kind(0, 64, 64, OverflowKind::FullReset); // fully used -> last bin
+        s.record_overflow_kind(1, 1, 64, OverflowKind::FullReset); // sparse -> first bin
         assert_eq!(s.overflow_used_histogram[USED_FRACTION_BINS - 1], 1);
         assert_eq!(s.overflow_used_histogram[0], 1);
         assert_eq!(s.overflow_used_histogram_enc[USED_FRACTION_BINS - 1], 1);
         assert_eq!(s.overflow_used_histogram_enc[0], 0);
         assert_eq!(s.total_overflows(), 2);
-        let h = s.overflow_fraction_histogram();
-        assert!((h.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn overflows_per_million() {
         let mut s = EngineStats::new(1);
-        s.record_overflow(0, 1, 64);
+        s.record_overflow_kind(0, 1, 64, OverflowKind::FullReset);
         for _ in 0..1000 {
             s.record(&MemAccess {
                 addr: 0,
@@ -358,6 +338,5 @@ mod tests {
         let s = EngineStats::new(0);
         assert_eq!(s.traffic_per_data_access(), 0.0);
         assert_eq!(s.overflows_per_million_accesses(), 0.0);
-        assert_eq!(s.overflow_fraction_histogram(), [0.0; USED_FRACTION_BINS]);
     }
 }

@@ -52,12 +52,6 @@ impl CoreModel {
         }
     }
 
-    /// A Table I core: 4-wide, 192-entry ROB.
-    #[must_use]
-    pub fn table1() -> Self {
-        CoreModel::new(4, 192)
-    }
-
     /// Instructions fetched so far.
     #[must_use]
     pub fn instructions(&self) -> u64 {
