@@ -6,7 +6,11 @@
 #
 # Each side runs the `command` of its own tree's BENCHMARK.json from that
 # tree, with `--workload WORKLOAD --seed N --trace 0` plus the extra args
-# (for example `--seconds 5` or `--scale smoke`). Pair i uses seed
+# (for example `--seconds 5` or `--scale smoke`). Before the first pair,
+# each tree's binary is built once, by that command with `build` in place
+# of `run`, and copied out; the runs time only the copies, so an edit to
+# either tree during a series cannot rebuild one side mid-series. Pair i
+# uses seed
 # FIRST_SEED + i - 1 (FIRST_SEED defaults to 1) on both sides. The side
 # that runs first flips every pair: the parent leads odd pairs, the change
 # even ones.
@@ -45,18 +49,52 @@ first_seed=${FIRST_SEED:-1}
 unset CARGO_TARGET_DIR
 
 spec="$change/BENCHMARK.json"
-results=$(mktemp)
-trap 'rm -f "$results"' EXIT
+scratch=$(mktemp -d)
+results="$scratch/results"
+trap 'rm -rf "$scratch"' EXIT
 
-# run_side SIDE DIR SEED [extra args]: one run; appends
-# {side, seed, status, result} to $results.
+# build_side SIDE DIR: builds DIR's benchmark with its BENCHMARK.json
+# command, `build` in place of `run` and without the program's arguments,
+# and copies the binary to $scratch/SIDE. The command's arguments after
+# `--` are kept in $scratch/SIDE.args for every run.
+build_side() {
+  local side=$1 dir=$2 arg exe
+  local -a command cargo=() args=()
+  mapfile -t command < <(jq -r '.command[]' "$dir/BENCHMARK.json")
+  for ((i = 0; i < ${#command[@]}; i++)); do
+    arg=${command[i]}
+    if [ "$arg" = "--" ]; then
+      args=("${command[@]:i+1}")
+      break
+    fi
+    if [ "$arg" = run ] && [ ${#cargo[@]} -eq 1 ]; then
+      arg=build
+    fi
+    cargo+=("$arg")
+  done
+  exe=$(cd "$dir" && "${cargo[@]}" --message-format=json \
+    | jq -r 'select(.reason == "compiler-artifact" and .executable != null) | .executable' \
+    | tail -n 1) || true
+  if [ -z "$exe" ] || [ ! -x "$exe" ]; then
+    echo "cannot build the $side benchmark in $dir" >&2
+    exit 1
+  fi
+  cp "$exe" "$scratch/$side"
+  printf '%s\n' "${args[@]}" > "$scratch/$side.args"
+}
+
+build_side parent "$parent"
+build_side change "$change"
+
+# run_side SIDE DIR SEED [extra args]: one run of the copied binary from
+# DIR; appends {side, seed, status, result} to $results.
 run_side() {
   local side=$1 dir=$2 seed=$3 out last status=0
   shift 3
-  local -a command
-  mapfile -t command < <(jq -r '.command[]' "$dir/BENCHMARK.json")
-  out=$(cd "$dir" && "${command[@]}" --workload "$workload" --seed "$seed" --trace 0 "$@") \
-    || status=$?
+  local -a args
+  mapfile -t args < <(grep -v '^$' "$scratch/$side.args" || true)
+  out=$(cd "$dir" && "$scratch/$side" "${args[@]}" --workload "$workload" --seed "$seed" \
+    --trace 0 "$@") || status=$?
   # The last stdout line is the run's result object.
   last=$(printf '%s\n' "$out" | tail -n 1)
   if ! jq -e 'type == "object"' <<< "$last" > /dev/null 2>&1; then
