@@ -648,9 +648,9 @@ fn cmd_snapshot(flags: &Flags) -> Result<String, CliError> {
             if persist::SHARDED.matches(&bytes) {
                 return verify_sharded_image(path, &bytes);
             }
-            // Recovery with an empty log replays nothing: this is a pure
-            // load + bottom-up re-verification of every stored MAC.
-            let memory = persist::recover(&bytes, &[])
+            // An empty log holds no seal and nothing to replay: this is a
+            // pure load + bottom-up re-verification of every stored MAC.
+            let (memory, _) = persist::recover_bounded(&bytes, &[])
                 .map_err(|e| integrity_err(format!("{path}: snapshot failed verification: {e}")))?;
             Ok(format!(
                 "{path}: snapshot verified — {} over {}, {} data line(s), every \
@@ -675,8 +675,8 @@ fn verify_sharded_image(path: &str, bytes: &[u8]) -> Result<String, CliError> {
     let mut out = format!("{path}: sharded image, {} shard(s)\n", reports.len());
     let mut first_bad = None;
     for report in &reports {
-        match (&report.status, report.root_digest) {
-            (Ok(()), Some(root)) => writeln!(
+        match &report.status {
+            Ok(root) => writeln!(
                 out,
                 "  shard {:<3} {:>10} {:>2} level(s)  root {root:#018x}  verified",
                 report.shard,
@@ -684,11 +684,7 @@ fn verify_sharded_image(path: &str, bytes: &[u8]) -> Result<String, CliError> {
                 report.levels,
             )
             .expect("write to string"),
-            (status, _) => {
-                let what = status.as_ref().err().map_or_else(
-                    || "failed without a diagnosis".to_owned(),
-                    ToString::to_string,
-                );
+            Err(what) => {
                 writeln!(
                     out,
                     "  shard {:<3} {:>10}  FAILED: {what}",
@@ -861,7 +857,8 @@ fn cmd_prove(flags: &Flags) -> Result<String, CliError> {
     // or MACs are wrong); a bad line request against a healthy image is a
     // usage error. Both are distinguishable from unreadable files.
     let (proof, root) = if persist::SHARDED.matches(&bytes) {
-        let mut memory = persist::recover_sharded(&bytes)
+        let mut memory = persist::recover_sharded_bounded::<&[u8]>(&bytes, &[])
+            .and_then(persist::ShardedRecovery::into_memory)
             .map_err(|e| integrity_err(format!("{snapshot_path}: snapshot failed: {e}")))?;
         let root = memory.combined_root();
         let proof = memory
@@ -869,7 +866,7 @@ fn cmd_prove(flags: &Flags) -> Result<String, CliError> {
             .map_err(|e| err(format!("{snapshot_path}: cannot prove: {e}")))?;
         (AnyProof::Sharded(proof), root)
     } else {
-        let memory = persist::recover(&bytes, &[])
+        let (memory, _) = persist::recover_bounded(&bytes, &[])
             .map_err(|e| integrity_err(format!("{snapshot_path}: snapshot failed: {e}")))?;
         let proof = memory
             .prove(&lines)

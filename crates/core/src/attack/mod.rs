@@ -44,7 +44,7 @@ use std::fmt;
 use crate::concurrent::SplitMix64;
 use crate::error::{IntegrityError, TamperError};
 use crate::functional::SecureMemory;
-use crate::persist::{self, PersistentMemory, RecoveryError};
+use crate::persist::{self, EpochMemory, RecoveryError};
 use crate::tree::{TreeConfig, TreeGeometry};
 use crate::CACHELINE_BYTES;
 
@@ -74,8 +74,9 @@ pub enum AttackClass {
     OverflowBoundary,
     /// Tamper the persisted snapshot image, crash the WAL writer at a
     /// random byte offset, and let recovery replay the torn log: the
-    /// bottom-up re-verification of the restored tree must surface the
-    /// tamper as a typed integrity error, never restore it silently.
+    /// tamper must surface as a typed integrity error, from recovery
+    /// itself or from the first read of the tampered line, never serve
+    /// silently.
     CrashRecovery,
 }
 
@@ -540,26 +541,31 @@ fn mount(
             // snapshots the tampered image, then lets the machine journal
             // more writes — to a *different* line, so WAL replay cannot
             // heal the tamper — and crashes the writer at a random byte
-            // offset of the log. Recovery replays the torn log (any prefix
-            // restores a committed-transaction prefix) and re-verifies the
-            // tree bottom-up: the tampered line must surface as a typed
-            // integrity error, never load silently.
+            // offset of the log. The log opens with the snapshot's epoch-0
+            // seal. A kill point inside that seal leaves recovery no anchor:
+            // it replays the torn log and verifies the whole tree, so the
+            // tamper fails recovery itself. Every later kill point anchors on
+            // the seal and re-proves only the lines the suffix touched; the
+            // tampered line loads and fails its first verified read, as it
+            // would in DRAM.
             let offset = rng.below(CACHELINE_BYTES as u64) as usize;
             let mask = 1u8 << rng.below(8);
             m.tamper_raw(victim_line, offset, mask)?;
             let snapshot = persist::save_memory(&m);
             let other = (victim_line + 1 + rng.below(lines - 1)) % lines;
-            let mut journaled = PersistentMemory::from_memory(m);
+            let mut journaled = EpochMemory::from_memory(m, 0);
             for _ in 0..3 {
                 journaled.write(other, &random_payload(rng));
             }
             let wal = journaled.wal_bytes();
             let cut = rng.below(wal.len() as u64 + 1) as usize;
-            let observed = match persist::recover(&snapshot, &wal[..cut]) {
+            let observed = match persist::recover_bounded(&snapshot, &wal[..cut]) {
                 Err(RecoveryError::Integrity(err)) => Some(err),
-                // A clean recovery of the tampered image (silent
-                // corruption) or a mis-typed error both count as misses.
-                Ok(_) | Err(_) => None,
+                // A recovered memory that then serves the victim line
+                // (silent corruption) or a mis-typed error both count as
+                // misses.
+                Ok((recovered, _)) => recovered.read(victim_line).err(),
+                Err(_) => None,
             };
             return Ok(AttackOutcome {
                 class,

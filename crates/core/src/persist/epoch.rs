@@ -55,10 +55,11 @@
 //! construction key, so an adversary who controls the persisted bytes but
 //! not the key cannot mint a seal that verifies. Flipping bits in a seal
 //! merely downgrades recovery to the full bottom-up path (or quarantines
-//! the shard) — it never makes recovery *accept* corrupted state, because
-//! the bounded path re-verifies every touched line against the keyed
-//! counter-tree chain and the untouched remainder is pinned by the
-//! sealed root digest the MAC covers.
+//! the shard) — it never makes a recovered memory *serve* corrupted state,
+//! because the bounded path re-verifies every touched line against the
+//! keyed counter-tree chain and the untouched remainder is pinned by the
+//! sealed root digest the MAC covers: an untouched line loads unverified
+//! and is checked on its first read, as it would be in DRAM.
 
 use std::collections::BTreeSet;
 
@@ -225,8 +226,8 @@ pub enum RecoveryMode {
     /// replayed the suffix and re-verified only the lines it touched.
     Bounded,
     /// No usable seal (absent, forged, or disagreeing with the restored
-    /// root): full replay plus full bottom-up verification, exactly the
-    /// pre-epoch [`recover`](super::recover) behavior.
+    /// root): full replay plus full bottom-up verification, the same work
+    /// as the full-replay reference [`recover`](super::recover).
     Full,
 }
 
@@ -554,15 +555,16 @@ impl ShardLog {
         self.wal.append(&WalRecord::Seal(seal));
     }
 
-    /// Phase one of a cut: fold the open epoch, swap in an empty log, and
-    /// pin the folded root with a Prepare seal. The durable
+    /// The cut step: fold the open epoch, swap in an empty log, and pin
+    /// the folded root with a `phase` seal (Commit for a single tree,
+    /// Prepare for phase one of the sharded cut). The durable
     /// `(snapshot, WAL)` replacement is modeled as atomic (tmp+rename in
     /// a file-backed deployment).
-    fn cut_prepare(&mut self, live: &SecureMemory, epoch: u64) {
+    fn cut(&mut self, live: &SecureMemory, epoch: u64, phase: SealPhase) {
         self.fold(live);
         self.wal.clear();
         self.next_seq = 1;
-        self.seal(epoch, SealPhase::Prepare, None);
+        self.seal(epoch, phase, None);
     }
 }
 
@@ -588,11 +590,20 @@ impl EpochMemory {
     /// Panics if `memory_bytes` is zero or not cacheline-aligned.
     #[must_use]
     pub fn new(config: TreeConfig, memory_bytes: u64, key: [u8; 16], epoch_ops: u64) -> Self {
-        let mut live = SecureMemory::new(config, memory_bytes, key);
-        live.begin_journal();
-        let mut log = ShardLog::new(live.clone());
+        EpochMemory::from_memory(SecureMemory::new(config, memory_bytes, key), epoch_ops)
+    }
+
+    /// Journals an existing memory (one just populated or recovered),
+    /// sealing it as epoch 0. The WAL starts with that seal: the caller
+    /// pairs it with a [`save_memory`] of `memory` taken at this point,
+    /// which is what [`EpochMemory::sealed_snapshot`] returns until the
+    /// first cut.
+    #[must_use]
+    pub fn from_memory(mut memory: SecureMemory, epoch_ops: u64) -> Self {
+        memory.begin_journal();
+        let mut log = ShardLog::new(memory.clone());
         log.seal(0, SealPhase::Commit, None);
-        EpochMemory { live, log, epoch: 0, epoch_ops, ops_in_epoch: 0 }
+        EpochMemory { live: memory, log, epoch: 0, epoch_ops, ops_in_epoch: 0 }
     }
 
     /// Writes a line: the mutation is logged eagerly as one committed WAL
@@ -620,10 +631,7 @@ impl EpochMemory {
     /// clears the log, and seals the new epoch. Returns the new epoch.
     pub fn cut(&mut self) -> u64 {
         self.epoch += 1;
-        self.log.fold(&self.live);
-        self.log.wal.clear();
-        self.log.next_seq = 1;
-        self.log.seal(self.epoch, SealPhase::Commit, None);
+        self.log.cut(&self.live, self.epoch, SealPhase::Commit);
         self.ops_in_epoch = 0;
         self.epoch
     }
@@ -748,9 +756,8 @@ impl EpochShardedMemory {
     /// carrying the combined root. Returns the combined root.
     pub fn cut(&mut self) -> u64 {
         self.epoch += 1;
-        for s in 0..self.logs.len() {
-            let epoch = self.epoch;
-            self.logs[s].cut_prepare(self.live.shard(s), epoch);
+        for (s, log) in self.logs.iter_mut().enumerate() {
+            log.cut(self.live.shard(s), self.epoch, SealPhase::Prepare);
         }
         // The one recombination this epoch performs.
         let combined = self.live.combined_root();
@@ -1023,52 +1030,89 @@ pub struct ShardedRecovery {
     pub mid_cut: bool,
 }
 
+impl ShardedRecovery {
+    /// The recovered memory, provided no shard is quarantined: the strict
+    /// form for callers that cannot serve a degraded tenant.
+    ///
+    /// # Errors
+    ///
+    /// The first quarantined shard's typed failure, in shard order.
+    pub fn into_memory(self) -> Result<ShardedMemory, RecoveryError> {
+        match self.shards.into_iter().find_map(|r| r.outcome.err()) {
+            Some(err) => Err(err),
+            None => Ok(self.memory.inner),
+        }
+    }
+}
+
+/// One shard's recovery, or the typed failure that quarantines it.
+pub(crate) type ShardOutcome = Result<(SecureMemory, RecoveryStats), RecoveryError>;
+
+/// Parses an `MTSH` container and recovers its shards one by one, in
+/// order, as the returned iterator is driven: [`recover_bounded`] on the
+/// shard's section and WAL, then the check that the shard's geometry and
+/// key are the ones the header's partition and tenant key derive
+/// ([`RecoveryError::ShardMismatch`] otherwise). An empty `wals` slice
+/// stands for an empty log on every shard.
+///
+/// # Errors
+///
+/// Container framing problems and [`RecoveryError::ShardWalCount`];
+/// per-shard failures are the iterator's items.
+pub(crate) fn recover_shards<'a, W: AsRef<[u8]>>(
+    container: &'a [u8],
+    wals: &'a [W],
+) -> Result<(ShardPlan, [u8; 16], impl Iterator<Item = ShardOutcome> + 'a), RecoveryError> {
+    let (plan, key, sections) = parse_sharded(container)?;
+    if !wals.is_empty() && wals.len() != plan.shards() {
+        return Err(RecoveryError::ShardWalCount { expected: plan.shards(), got: wals.len() });
+    }
+    let outcomes = sections.into_iter().enumerate().map(move |(shard, section)| {
+        let wal = wals.get(shard).map_or(&[][..], AsRef::as_ref);
+        let (mem, stats) = recover_bounded(section, wal)?;
+        if mem.geometry().memory_bytes() != plan.shard_memory_bytes(shard)
+            || mem.key() != ShardedMemory::derived_key(key, shard)
+        {
+            return Err(RecoveryError::ShardMismatch { shard });
+        }
+        Ok((mem, stats))
+    });
+    Ok((plan, key, outcomes))
+}
+
 /// Rebuilds a sharded memory from an `MTSH` container plus one WAL per
-/// shard, doing per-shard work bounded by each shard's open epoch — and
+/// shard (or none: an empty `wals` slice is an empty log on every shard),
+/// doing per-shard work bounded by each shard's open epoch — and
 /// degrading, not dying, when a shard fails: the bad shard is quarantined
 /// (empty placeholder, reads/writes refuse) while the rest serve.
+/// [`ShardedRecovery::into_memory`] is the strict form.
 ///
 /// # Errors
 ///
 /// Container-level framing problems are fatal ([`RecoveryError::BadMagic`],
 /// truncation, checksums, [`RecoveryError::ShardPlan`]);
-/// [`RecoveryError::ShardWalCount`] when the WAL count disagrees with the
-/// partition; and when *every* shard fails, the first shard's error (there
-/// is nothing left to serve). Per-shard failures otherwise land in
-/// [`ShardRecovery::outcome`], not here.
+/// [`RecoveryError::ShardWalCount`] when a nonempty WAL list disagrees
+/// with the partition; and when *every* shard fails, the first shard's
+/// error (there is nothing left to serve). Per-shard failures otherwise
+/// land in [`ShardRecovery::outcome`], not here.
 pub fn recover_sharded_bounded<W: AsRef<[u8]>>(
     container: &[u8],
     wals: &[W],
 ) -> Result<ShardedRecovery, RecoveryError> {
-    let (plan, key, sections) = parse_sharded(container)?;
-    if wals.len() != plan.shards() {
-        return Err(RecoveryError::ShardWalCount { expected: plan.shards(), got: wals.len() });
-    }
-
+    let (plan, key, outcomes) = recover_shards(container, wals)?;
     let mut recovered: Vec<Option<SecureMemory>> = Vec::with_capacity(plan.shards());
     let mut reports = Vec::with_capacity(plan.shards());
     let mut quarantined = BTreeSet::new();
-    for (shard, section) in sections.iter().enumerate() {
-        let outcome = recover_bounded(section, wals[shard].as_ref()).and_then(|(mem, stats)| {
-            if mem.geometry().memory_bytes() != plan.shard_memory_bytes(shard)
-                || mem.key() != ShardedMemory::derived_key(key, shard)
-            {
-                Err(RecoveryError::ShardMismatch { shard })
-            } else {
-                Ok((mem, stats))
-            }
-        });
-        match outcome {
-            Ok((mem, stats)) => {
-                recovered.push(Some(mem));
-                reports.push(ShardRecovery { shard, outcome: Ok(stats) });
-            }
+    for (shard, outcome) in outcomes.enumerate() {
+        let (mem, outcome) = match outcome {
+            Ok((mem, stats)) => (Some(mem), Ok(stats)),
             Err(err) => {
                 quarantined.insert(shard);
-                recovered.push(None);
-                reports.push(ShardRecovery { shard, outcome: Err(err) });
+                (None, Err(err))
             }
-        }
+        };
+        recovered.push(mem);
+        reports.push(ShardRecovery { shard, outcome });
     }
 
     // Placeholders need a tree configuration; borrow it from any healthy
@@ -1080,7 +1124,7 @@ pub fn recover_sharded_bounded<W: AsRef<[u8]>>(
             let first = reports
                 .iter()
                 .find_map(|r| r.outcome.as_ref().err().cloned())
-                .unwrap_or(RecoveryError::ShardPlan(crate::error::ShardError::ZeroShards));
+                .unwrap_or(RecoveryError::ShardPlan(ShardError::ZeroShards));
             return Err(first);
         }
     };
@@ -1266,6 +1310,38 @@ mod tests {
         assert_eq!(stats.mode, RecoveryMode::Bounded);
         assert_eq!(recovered.reencryptions(), mem.memory().reencryptions());
         assert_eq!(save_memory(&recovered), save_memory(mem.memory()));
+    }
+
+    /// The trust statement a seal makes: it vouches for the root, not for
+    /// every stored line. A snapshot whose data ciphertext was tampered
+    /// under a valid seal recovers without re-proving that line, and the
+    /// tamper surfaces on its first verified read, as it would in DRAM.
+    /// With the WAL cut inside the seal record there is no anchor, so
+    /// recovery verifies everything and refuses.
+    #[test]
+    fn a_sealed_tamper_loads_and_fails_its_first_read() {
+        let mut memory = SecureMemory::new(TreeConfig::morphtree(), MIB, KEY);
+        for i in 0..16u64 {
+            memory.write(i, &[i as u8; CACHELINE_BYTES]);
+        }
+        memory.tamper_raw(5, 9, 0x10).unwrap();
+        let journaled = EpochMemory::from_memory(memory, 0);
+        let snapshot = journaled.sealed_snapshot();
+        let wal = journaled.wal_bytes();
+        let tampered = IntegrityError::DataMac { line_addr: 5 * CACHELINE_BYTES as u64 };
+
+        let (recovered, stats) = recover_bounded(&snapshot, wal).unwrap();
+        assert_eq!(stats.mode, RecoveryMode::CleanShutdown);
+        assert_eq!(recovered.read(5), Err(tampered.clone()));
+        assert_eq!(recovered.read(4).unwrap(), [4; CACHELINE_BYTES]);
+
+        for cut in 0..wal.len() {
+            assert_eq!(
+                recover_bounded(&snapshot, &wal[..cut]).unwrap_err(),
+                RecoveryError::Integrity(tampered.clone()),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

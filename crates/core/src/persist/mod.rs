@@ -10,10 +10,13 @@
 //! checkpoint, NVM deployments à la Triad-NVM / Anubis) must tolerate
 //! power loss at *any* instant. This module reproduces that problem shape
 //! for the simulator: the full [`SecureMemory`] state serializes to a
-//! [`save_memory`] snapshot, every write appends a committed transaction
-//! to a [`WalWriter`] log, and [`recover`] rebuilds the state from
-//! `snapshot + any WAL prefix` — then proves the result through
-//! [`SecureMemory::verify_all`] before handing it back.
+//! [`save_memory`] snapshot, an [`EpochMemory`] appends every write to a
+//! [`WalWriter`] log as a committed transaction, and [`recover_bounded`]
+//! rebuilds the state from `snapshot + any WAL prefix` — then proves the
+//! result before handing it back. A sharded image has the same pair per
+//! shard: [`EpochShardedMemory`] writes it and [`recover_sharded_bounded`]
+//! reads it. [`recover`] is the full-replay reference the crash tests
+//! hold bounded recovery to; production code does not call it.
 //!
 //! # Format overview
 //!
@@ -51,7 +54,7 @@ use std::fmt;
 
 use crate::concurrent::{ShardPlan, ShardedMemory};
 use crate::counters::morph::MorphMode;
-use crate::counters::{CounterLine, CounterOrg};
+use crate::counters::CounterOrg;
 use crate::error::{CodecError, IntegrityError, ShardError};
 use crate::functional::SecureMemory;
 use crate::tree::TreeConfig;
@@ -404,8 +407,8 @@ pub fn save_memory(mem: &SecureMemory) -> Vec<u8> {
 
 /// Deserializes a [`save_memory`] snapshot.
 ///
-/// Restores state verbatim *without* verifying it; [`recover`] layers WAL
-/// replay and full verification on top.
+/// Restores state verbatim *without* verifying it; [`recover_bounded`]
+/// layers WAL replay and verification on top.
 ///
 /// # Errors
 ///
@@ -478,6 +481,12 @@ pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
 /// Rebuilds a memory from a snapshot plus any prefix of its WAL, then
 /// proves the result: replays every committed transaction and runs
 /// [`SecureMemory::verify_all`] bottom-up before returning.
+///
+/// This is the full-replay reference: it ignores seals, so its cost grows
+/// with the log and the memory. The crash tests and the crash campaign
+/// hold [`recover_bounded`] to it byte for byte; production code recovers
+/// through [`recover_bounded`] instead, which takes this same path when
+/// the log holds no usable seal.
 ///
 /// # Errors
 ///
@@ -563,36 +572,6 @@ pub(crate) fn write_sharded<'a>(
     out
 }
 
-/// Rebuilds a sharded memory from a [`save_sharded`] container, verifying
-/// every shard subtree bottom-up and cross-checking each shard against the
-/// header's partition before recombining the top root.
-///
-/// # Errors
-///
-/// Returns a [`RecoveryError`]: container framing problems
-/// ([`RecoveryError::BadMagic`], truncation, checksums),
-/// [`RecoveryError::ShardPlan`] for an impossible header,
-/// per-shard snapshot errors from [`load_memory`],
-/// [`RecoveryError::ShardMismatch`] when a shard's geometry or derived key
-/// disagrees with the header (a blend of different tenants or layouts),
-/// and [`RecoveryError::Integrity`] when a restored shard fails MAC
-/// verification. Never panics, never returns a partially-blended state.
-pub fn recover_sharded(bytes: &[u8]) -> Result<ShardedMemory, RecoveryError> {
-    let (plan, key, sections) = parse_sharded(bytes)?;
-    let mut shards = Vec::with_capacity(plan.shards());
-    for (shard, section) in sections.iter().enumerate() {
-        let restored = load_memory(section)?;
-        if restored.geometry().memory_bytes() != plan.shard_memory_bytes(shard)
-            || restored.key() != ShardedMemory::derived_key(key, shard)
-        {
-            return Err(RecoveryError::ShardMismatch { shard });
-        }
-        restored.verify_all().map_err(RecoveryError::Integrity)?;
-        shards.push(restored);
-    }
-    Ok(ShardedMemory::from_parts(plan, key, shards))
-}
-
 /// Parsed `MTSH` framing: partition plan, tenant key, and the raw
 /// per-shard snapshot payloads (not yet decoded).
 pub(crate) type ParsedShards<'a> = (ShardPlan, [u8; 16], Vec<&'a [u8]>);
@@ -638,20 +617,21 @@ pub(crate) fn parse_sharded(bytes: &[u8]) -> Result<ParsedShards<'_>, RecoveryEr
 pub struct ShardVerifyReport {
     /// Shard index within the container.
     pub shard: usize,
-    /// Protected bytes the shard's snapshot declares.
+    /// Protected bytes the header's partition assigns the shard.
     pub memory_bytes: u64,
-    /// Tree levels in the shard's geometry (0 when the snapshot failed to
-    /// load at all).
+    /// Tree levels in the shard's geometry (0 when the shard failed).
     pub levels: usize,
-    /// Subtree root digest after restore (`None` when the shard failed).
-    pub root_digest: Option<u64>,
-    /// `Ok(())` when the shard loaded, matched the header's partition, and
-    /// passed full bottom-up verification; the typed failure otherwise.
-    pub status: Result<(), RecoveryError>,
+    /// The restored subtree's root digest when the shard loaded, passed
+    /// full bottom-up verification and matched the header's partition;
+    /// the typed failure otherwise.
+    pub status: Result<u64, RecoveryError>,
 }
 
 /// Verifies every shard of an `MTSH` container independently, reporting
-/// per-shard results instead of stopping at the first failure.
+/// per-shard results instead of stopping at the first failure. Each shard
+/// takes the same step as in [`recover_sharded_bounded`] with an empty
+/// log; unlike it, a container whose every shard fails still yields the
+/// full table.
 ///
 /// # Errors
 ///
@@ -659,134 +639,23 @@ pub struct ShardVerifyReport {
 /// impossible header) are fatal and returned as `Err`; per-shard failures
 /// are captured in each report's `status`.
 pub fn verify_shards(bytes: &[u8]) -> Result<Vec<ShardVerifyReport>, RecoveryError> {
-    let (plan, key, sections) = parse_sharded(bytes)?;
-    let mut reports = Vec::with_capacity(plan.shards());
-    for (shard, section) in sections.iter().enumerate() {
-        let report = match load_memory(section) {
-            Err(err) => ShardVerifyReport {
-                shard,
-                memory_bytes: plan.shard_memory_bytes(shard),
-                levels: 0,
-                root_digest: None,
-                status: Err(err),
-            },
-            Ok(restored) => {
-                let status = if restored.geometry().memory_bytes()
-                    != plan.shard_memory_bytes(shard)
-                    || restored.key() != ShardedMemory::derived_key(key, shard)
-                {
-                    Err(RecoveryError::ShardMismatch { shard })
-                } else {
-                    restored.verify_all().map_err(RecoveryError::Integrity)
-                };
-                ShardVerifyReport {
-                    shard,
-                    memory_bytes: restored.geometry().memory_bytes(),
-                    levels: restored.geometry().levels().len(),
-                    root_digest: status.is_ok().then(|| restored.root_digest()),
-                    status,
-                }
-            }
-        };
-        reports.push(report);
-    }
+    let (plan, _, outcomes) = epoch::recover_shards::<&[u8]>(bytes, &[])?;
+    let reports = outcomes
+        .enumerate()
+        .map(|(shard, outcome)| ShardVerifyReport {
+            shard,
+            memory_bytes: plan.shard_memory_bytes(shard),
+            levels: outcome.as_ref().map_or(0, |(mem, _)| mem.geometry().levels().len()),
+            status: outcome.map(|(mem, _)| mem.root_digest()),
+        })
+        .collect();
     Ok(reports)
-}
-
-/// A [`SecureMemory`] whose writes are journaled to a WAL as committed
-/// transactions, so the pair `(last snapshot, WAL)` always recovers to a
-/// consistent, verifying state — no matter where a crash truncates the
-/// log.
-///
-/// Each [`PersistentMemory::write`] appends one transaction: `Begin`, the
-/// post-images of every data and counter line the write touched (collected
-/// via the memory's mutation journal), then `Commit`. The WAL grows until
-/// [`PersistentMemory::checkpoint`] folds it into a fresh snapshot.
-#[derive(Debug, Clone)]
-pub struct PersistentMemory {
-    inner: SecureMemory,
-    wal: WalWriter,
-    next_seq: u64,
-}
-
-impl PersistentMemory {
-    /// Creates a fresh journaled memory (see [`SecureMemory::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `memory_bytes` is zero or not cacheline-aligned.
-    #[must_use]
-    pub fn new(config: TreeConfig, memory_bytes: u64, key: [u8; 16]) -> Self {
-        PersistentMemory::from_memory(SecureMemory::new(config, memory_bytes, key))
-    }
-
-    /// Wraps an existing memory (e.g. one just restored by [`recover`]).
-    /// The WAL starts empty: the caller is expected to pair it with a
-    /// snapshot of `inner` taken at this point.
-    #[must_use]
-    pub fn from_memory(mut inner: SecureMemory) -> Self {
-        inner.begin_journal();
-        PersistentMemory { inner, wal: WalWriter::new(), next_seq: 1 }
-    }
-
-    /// Writes a plaintext line and logs the mutation as one committed WAL
-    /// transaction.
-    pub fn write(&mut self, data_line: u64, plaintext: &[u8; CACHELINE_BYTES]) {
-        self.inner.write(data_line, plaintext);
-        let journal = self.inner.take_journal();
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::Begin { seq });
-        for line in journal.data_lines {
-            if let Some((ciphertext, mac)) = self.inner.data_line_state(line) {
-                self.wal.append(&WalRecord::DataLine { line, ciphertext, mac });
-            }
-        }
-        for (level, line_idx) in journal.counter_lines {
-            if let Some(line) = self.inner.tree().line(level, line_idx) {
-                self.wal.append(&WalRecord::CounterLine {
-                    level: level as u32,
-                    line_idx,
-                    image: line.encode(),
-                });
-            }
-        }
-        self.wal.append(&WalRecord::Commit { seq });
-        self.next_seq += 1;
-    }
-
-    /// Reads and verifies a line (see [`SecureMemory::read`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IntegrityError`] when tampering or replay is detected.
-    pub fn read(&self, data_line: u64) -> Result<[u8; CACHELINE_BYTES], IntegrityError> {
-        self.inner.read(data_line)
-    }
-
-    /// The wrapped memory.
-    #[must_use]
-    pub fn memory(&self) -> &SecureMemory {
-        &self.inner
-    }
-
-    /// The WAL bytes accumulated since the last checkpoint.
-    #[must_use]
-    pub fn wal_bytes(&self) -> &[u8] {
-        self.wal.bytes()
-    }
-
-    /// Serializes the current state as a fresh snapshot and clears the WAL
-    /// (its transactions are now folded into the snapshot).
-    pub fn checkpoint(&mut self) -> Vec<u8> {
-        let snapshot = save_memory(&self.inner);
-        self.wal.clear();
-        snapshot
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::codec::fnv1a;
+    use crate::counters::CounterLine;
     use super::*;
 
     const MIB: u64 = 1 << 20;
@@ -832,7 +701,7 @@ mod tests {
 
         // Journaled writer on one clone; a tracking clone captures the
         // expected state after each committed write.
-        let mut writer = PersistentMemory::from_memory(base.clone());
+        let mut writer = EpochMemory::from_memory(base.clone(), 0);
         let mut tracker = base;
         let mut states = vec![save_memory(writer.memory())];
         for i in 0..12u64 {
@@ -854,17 +723,22 @@ mod tests {
                 states[committed],
                 "cut {cut}: recovered state is not the {committed}-write state"
             );
+            let (bounded, _) = recover_bounded(&snapshot, prefix)
+                .unwrap_or_else(|e| panic!("cut {cut} must recover bounded: {e}"));
+            assert_eq!(save_memory(&bounded), states[committed], "cut {cut}: bounded");
         }
     }
 
     #[test]
     fn checkpoint_folds_the_wal() {
-        let mut writer = PersistentMemory::new(TreeConfig::sc64(), MIB, KEY);
+        let mut writer = EpochMemory::new(TreeConfig::sc64(), MIB, KEY, 0);
         writer.write(5, &[1; CACHELINE_BYTES]);
-        assert!(!writer.wal_bytes().is_empty());
-        let snap = writer.checkpoint();
-        assert!(writer.wal_bytes().is_empty());
-        let recovered = recover(&snap, writer.wal_bytes()).unwrap();
+        assert_eq!(replay(writer.wal_bytes()).unwrap().len(), 1);
+        writer.cut();
+        assert!(replay(writer.wal_bytes()).unwrap().is_empty());
+        let (recovered, stats) =
+            recover_bounded(&writer.sealed_snapshot(), writer.wal_bytes()).unwrap();
+        assert_eq!(stats.mode, RecoveryMode::CleanShutdown);
         assert_eq!(recovered.read(5).unwrap(), [1; CACHELINE_BYTES]);
     }
 
@@ -915,9 +789,9 @@ mod tests {
         let snap = save_memory(&mem);
         // load_memory restores it verbatim...
         load_memory(&snap).unwrap();
-        // ...but recover() refuses to hand it over.
+        // ...but recovery with no seal to anchor on refuses to hand it over.
         assert!(matches!(
-            recover(&snap, &[]).unwrap_err(),
+            recover_bounded(&snap, &[]).unwrap_err(),
             RecoveryError::Integrity(IntegrityError::DataMac { .. })
         ));
     }
@@ -1063,6 +937,12 @@ mod tests {
         }
     }
 
+    /// The strict sharded recovery `morphtree prove` runs: no WALs, and
+    /// every shard must recover.
+    fn recover_container(bytes: &[u8]) -> Result<ShardedMemory, RecoveryError> {
+        recover_sharded_bounded::<&[u8]>(bytes, &[]).and_then(ShardedRecovery::into_memory)
+    }
+
     fn populated_sharded(shards: usize) -> ShardedMemory {
         let mut memory =
             ShardedMemory::new(TreeConfig::morphtree(), MIB, KEY, shards).unwrap();
@@ -1078,7 +958,7 @@ mod tests {
             let mut memory = populated_sharded(shards);
             let root = memory.combined_root();
             let snap = save_sharded(&memory);
-            let mut restored = recover_sharded(&snap).unwrap();
+            let mut restored = recover_container(&snap).unwrap();
             assert_eq!(restored.plan(), memory.plan(), "{shards} shards");
             assert_eq!(restored.combined_root(), root, "{shards} shards");
             for i in 0..60u64 {
@@ -1095,14 +975,14 @@ mod tests {
         let memory = populated_sharded(4);
         let snap = save_sharded(&memory);
 
-        assert_eq!(recover_sharded(b"nope").unwrap_err(), RecoveryError::BadMagic);
+        assert_eq!(recover_container(b"nope").unwrap_err(), RecoveryError::BadMagic);
         // A plain MTSN snapshot is not a sharded container.
         let plain = save_memory(memory.shard(0));
-        assert_eq!(recover_sharded(&plain).unwrap_err(), RecoveryError::BadMagic);
+        assert_eq!(recover_container(&plain).unwrap_err(), RecoveryError::BadMagic);
 
         // Truncation anywhere is typed, never a panic.
         for cut in (0..snap.len()).step_by(7) {
-            assert!(recover_sharded(&snap[..cut]).is_err(), "cut {cut} must not recover");
+            assert!(recover_container(&snap[..cut]).is_err(), "cut {cut} must not recover");
         }
 
         // An impossible header partition is a ShardPlan error: set the
@@ -1115,7 +995,7 @@ mod tests {
         zero_shards[header_payload + header_len..header_payload + header_len + 8]
             .copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
-            recover_sharded(&zero_shards).unwrap_err(),
+            recover_container(&zero_shards).unwrap_err(),
             RecoveryError::ShardPlan(ShardError::ZeroShards)
         );
     }
@@ -1136,7 +1016,6 @@ mod tests {
             write_section(&mut forged, SEC_SHARD_HEADER, &w.into_bytes());
             assert_eq!(forged.len(), 56);
             let refused = Some(RecoveryError::CorruptSnapshot { offset: 8 });
-            assert_eq!(recover_sharded(&forged).err(), refused, "{shards} shards");
             assert_eq!(verify_shards(&forged).err(), refused, "{shards} shards");
             let no_wals: [&[u8]; 0] = [];
             let bounded = recover_sharded_bounded(&forged, &no_wals).err();
@@ -1165,9 +1044,13 @@ mod tests {
         write_section(&mut blended, SEC_SHARD, &save_memory(theirs.shard(1)));
 
         assert_eq!(
-            recover_sharded(&blended).unwrap_err(),
+            recover_container(&blended).unwrap_err(),
             RecoveryError::ShardMismatch { shard: 0 }
         );
+        let reports = verify_shards(&blended).unwrap();
+        for (shard, report) in reports.iter().enumerate() {
+            assert_eq!(report.status, Err(RecoveryError::ShardMismatch { shard }));
+        }
     }
 
     #[test]
@@ -1186,7 +1069,7 @@ mod tests {
         write_section(&mut wrong, SEC_SHARD, &save_memory(donor.shard(0)));
         write_section(&mut wrong, SEC_SHARD, &save_memory(donor.shard(1)));
         assert_eq!(
-            recover_sharded(&wrong).unwrap_err(),
+            recover_container(&wrong).unwrap_err(),
             RecoveryError::ShardMismatch { shard: 0 }
         );
     }
@@ -1198,10 +1081,12 @@ mod tests {
         memory.write(victim, &[7; CACHELINE_BYTES]);
         memory.tamper_raw(victim, 3, 0xff).unwrap();
         let snap = save_sharded(&memory);
-        assert!(matches!(
-            recover_sharded(&snap).unwrap_err(),
-            RecoveryError::Integrity(IntegrityError::DataMac { .. })
-        ));
+        let rec = recover_sharded_bounded::<&[u8]>(&snap, &[]).unwrap();
+        assert!(rec.shards[0].outcome.is_ok());
+        // Shard-local coordinates: the victim is shard 1's first line.
+        let tampered = RecoveryError::Integrity(IntegrityError::DataMac { line_addr: 0 });
+        assert_eq!(rec.shards[1].outcome.as_ref().unwrap_err(), &tampered);
+        assert_eq!(rec.into_memory().unwrap_err(), tampered);
     }
 
     #[test]

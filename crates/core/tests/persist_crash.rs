@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use morphtree_core::concurrent::{Op, ShardedMemory};
 use morphtree_core::functional::SecureMemory;
 use morphtree_core::persist::{
-    recover, recover_sharded, recover_sharded_bounded, replay, save_memory, save_sharded,
-    EpochShardedMemory, PersistentMemory, RecoveryError,
+    recover, recover_bounded, recover_sharded_bounded, replay, save_memory, save_sharded,
+    EpochMemory, EpochShardedMemory, RecoveryError, ShardedRecovery,
 };
 use morphtree_core::tree::TreeConfig;
 
@@ -20,9 +20,10 @@ const WORKING_LINES: u64 = 48;
 const JOURNALED_WRITES: usize = 6;
 
 /// A scripted crash scenario: a populated memory is snapshotted, then
-/// journals a fixed burst of writes into a WAL. Returns the snapshot, the
-/// byte-exact state after each committed prefix of the burst
-/// (`states[k]` = snapshot after `k` writes), and the full WAL.
+/// journals a fixed burst of writes into a WAL that opens with the
+/// snapshot's epoch-0 seal. Returns the snapshot, the byte-exact state
+/// after each committed prefix of the burst (`states[k]` = snapshot after
+/// `k` writes), and the full WAL.
 fn scripted(config: TreeConfig) -> (Vec<u8>, Vec<Vec<u8>>, Vec<u8>) {
     let mut base = SecureMemory::new(config, MEM, [0x77; 16]);
     for line in 0..WORKING_LINES {
@@ -33,7 +34,7 @@ fn scripted(config: TreeConfig) -> (Vec<u8>, Vec<Vec<u8>>, Vec<u8>) {
     // independent oracle for every committed prefix.
     let mut tracker = base.clone();
     let mut states = vec![save_memory(&tracker)];
-    let mut journaled = PersistentMemory::from_memory(base);
+    let mut journaled = EpochMemory::from_memory(base, 0);
     for i in 0..JOURNALED_WRITES {
         let line = (i as u64 * 13 + 5) % WORKING_LINES;
         let payload = [(i as u8).wrapping_mul(31) ^ 0x42; 64];
@@ -46,7 +47,8 @@ fn scripted(config: TreeConfig) -> (Vec<u8>, Vec<Vec<u8>>, Vec<u8>) {
 
 /// Exhaustive kill-point sweep: an honest torn log (every byte prefix of
 /// a valid WAL) always recovers, and the recovered state is byte-exact
-/// the committed-transaction prefix — on both a split-counter and a
+/// the committed-transaction prefix — through bounded recovery and the
+/// full-replay reference alike, on both a split-counter and a
 /// morphable-counter tree.
 #[test]
 fn every_kill_point_recovers_the_committed_prefix() {
@@ -66,8 +68,20 @@ fn every_kill_point_recovers_the_committed_prefix() {
                 states[committed],
                 "{name}: cut {cut} diverged from the {committed}-write prefix"
             );
+            let (bounded, _) = recover_bounded(&snapshot, prefix)
+                .unwrap_or_else(|e| panic!("{name}: bounded recovery failed at cut {cut}: {e}"));
+            assert_eq!(
+                save_memory(&bounded),
+                states[committed],
+                "{name}: cut {cut}: bounded recovery diverged from the {committed}-write prefix"
+            );
         }
     }
+}
+
+/// The strict sharded recovery: no WALs, and every shard must recover.
+fn recover_container(bytes: &[u8]) -> Result<ShardedMemory, RecoveryError> {
+    recover_sharded_bounded::<&[u8]>(bytes, &[]).and_then(ShardedRecovery::into_memory)
 }
 
 /// A populated sharded memory for the sharded-snapshot guards.
@@ -90,7 +104,7 @@ fn sharded_snapshot_recovers_byte_identical_state() {
         let mut memory = sharded_scenario(shards);
         let root = memory.combined_root();
         let snap = save_sharded(&memory);
-        let mut restored = recover_sharded(&snap).unwrap();
+        let mut restored = recover_container(&snap).unwrap();
         assert_eq!(restored.combined_root(), root, "{shards} shards");
         assert_eq!(save_sharded(&restored), snap, "{shards} shards");
         restored.verify_all().unwrap();
@@ -104,7 +118,7 @@ fn every_sharded_truncation_refuses_typed() {
     let memory = sharded_scenario(4);
     let snap = save_sharded(&memory);
     for cut in 0..snap.len() {
-        match recover_sharded(&snap[..cut]) {
+        match recover_container(&snap[..cut]) {
             Ok(_) => panic!("cut {cut}: truncated container must not recover"),
             Err(err) => {
                 // Rendering the diagnosis must not panic either.
@@ -158,7 +172,7 @@ fn every_sharded_kill_point_recovers_consistently() {
     // The sealed container, re-expressed as one plain MTSN snapshot per
     // shard: `recover(snapshot, wal)` on these is the pre-epoch
     // full-replay oracle for each shard.
-    let sealed = recover_sharded(&container).unwrap();
+    let sealed = recover_container(&container).unwrap();
     let shard_snapshots: Vec<Vec<u8>> =
         (0..wals.len()).map(|s| save_memory(sealed.shard(s))).collect();
 
@@ -208,7 +222,7 @@ proptest! {
         let mut corrupt = honest.clone();
         let flip = (flip_sel as usize) % corrupt.len();
         corrupt[flip] ^= 1u8 << bit;
-        match recover_sharded(&corrupt) {
+        match recover_container(&corrupt) {
             Ok(recovered) => {
                 prop_assert_eq!(
                     save_sharded(&recovered),
@@ -244,7 +258,7 @@ proptest! {
             let memory = epoch_scenario();
             let container = memory.sealed_container();
             let wals = memory.wals();
-            let sealed = recover_sharded(&container).unwrap();
+            let sealed = recover_container(&container).unwrap();
             let snapshots =
                 (0..wals.len()).map(|s| save_memory(sealed.shard(s))).collect();
             (container, wals, snapshots)
@@ -293,7 +307,8 @@ proptest! {
     /// state byte-identical to *some* committed prefix of the honest
     /// history (the flip landed in a discarded tail) or reject the log
     /// with the typed corruption error — silently absorbing the flip
-    /// into a divergent state is the one forbidden outcome.
+    /// into a divergent state is the one forbidden outcome. Bounded
+    /// recovery must reach the same verdict as the full-replay reference.
     #[test]
     fn corrupted_torn_logs_never_diverge_silently(
         cut_sel in any::<u64>(),
@@ -305,9 +320,15 @@ proptest! {
         let flip = (flip_sel as usize) % torn.len();
         torn[flip] ^= 1u8 << bit;
         let cut = (cut_sel as usize) % (torn.len() + 1);
-        match recover(&snapshot, &torn[..cut]) {
-            Ok(recovered) => {
-                let bytes = save_memory(&recovered);
+        let bounded = recover_bounded(&snapshot, &torn[..cut]).map(|(mem, _)| save_memory(&mem));
+        let full = recover(&snapshot, &torn[..cut]).map(|mem| save_memory(&mem));
+        prop_assert_eq!(
+            &bounded, &full,
+            "flip at {} (bit {}), cut {}: bounded and full recovery disagree",
+            flip, bit, cut
+        );
+        match full {
+            Ok(bytes) => {
                 prop_assert!(
                     states.contains(&bytes),
                     "flip at {} (bit {}), cut {}: recovered state matches no committed prefix",

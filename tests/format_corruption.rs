@@ -8,8 +8,8 @@
 use morphtree_core::concurrent::ShardedMemory;
 use morphtree_core::functional::SecureMemory;
 use morphtree_core::persist::{
-    load_memory, load_root, recover_sharded, save_memory, save_root, save_sharded, EpochSeal,
-    SealPhase,
+    load_memory, load_root, recover_sharded_bounded, save_memory, save_root, save_sharded,
+    EpochSeal, SealPhase, ShardedRecovery,
 };
 use morphtree_core::proof::decode_proof;
 use morphtree_core::tree::TreeConfig;
@@ -58,7 +58,11 @@ fn sharded() -> ShardedMemory {
 #[test]
 fn snapshots_refuse_every_corruption() {
     refuses_every_corruption("MTSN", &save_memory(&memory()), load_memory);
-    refuses_every_corruption("MTSH", &save_sharded(&sharded()), recover_sharded);
+    // Strict: a container with any failing shard is refused, not served
+    // degraded.
+    refuses_every_corruption("MTSH", &save_sharded(&sharded()), |bytes| {
+        recover_sharded_bounded::<&[u8]>(bytes, &[]).and_then(ShardedRecovery::into_memory)
+    });
 }
 
 #[test]
