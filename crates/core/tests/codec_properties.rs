@@ -1,8 +1,9 @@
 //! Property coverage for the counter-line codecs (the Fig 8/13 layouts in
 //! `counters/morph/codec.rs` and the split layouts in `counters/split.rs`):
 //! encode→decode identity for randomly-driven ZCC, Uniform, and MCR lines,
-//! re-encode stability, rejection of malformed bit patterns, and
-//! equivalence with a per-bit reference codec.
+//! re-encode stability, rejection of malformed bit patterns,
+//! equivalence with a per-bit reference codec, and lockstep equivalence
+//! of every increment with the increment rules applied to plain fields.
 
 use std::collections::HashSet;
 
@@ -11,7 +12,9 @@ use proptest::prelude::*;
 use morphtree_core::counters::bits::set_bits;
 use morphtree_core::counters::morph::{zcc_width, MorphFormat, MorphLine, MorphMode};
 use morphtree_core::counters::split::{SplitConfig, SplitLine};
-use morphtree_core::counters::{CounterLine, LineImage};
+use morphtree_core::counters::{
+    CounterLine, IncrementOutcome, LineImage, OverflowEvent, OverflowKind, ReencryptSpan,
+};
 use morphtree_core::CodecError;
 
 fn any_mode() -> impl Strategy<Value = MorphMode> {
@@ -570,5 +573,519 @@ proptest! {
         let line = SplitLine::decode(config, &image);
         prop_assert_eq!(split_fields(&line), ref_split_decode(config, &image));
         prop_assert_eq!(line.encode(), image);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The increment rules over plain fields.
+//
+// `RefMorph` and `RefSplit` keep a line as its fields (format, major,
+// bases, one integer per minor) and apply the increment rules of §III-B,
+// §IV and §II-A2 to them directly, as the counter code first did. They
+// are the lockstep oracle for `MorphLine` and `SplitLine`: after every
+// increment the line must report the same outcome, the same counter on
+// every slot, the same population and the reference codec's bytes for
+// the model's fields.
+// ---------------------------------------------------------------------
+
+const REF_MINOR3_MAX: u64 = 7;
+const REF_BASE_MAX: u64 = 127;
+const REF_MCR_SET: usize = 64;
+const REF_SPARSE_SET_THRESHOLD: usize = 32;
+
+fn overflow(span: ReencryptSpan, used_counters: usize, kind: OverflowKind) -> IncrementOutcome {
+    IncrementOutcome::Overflow(OverflowEvent {
+        span,
+        used_counters,
+        kind,
+    })
+}
+
+/// A morphable line as plain fields, with the increment rules applied to
+/// them one by one.
+#[derive(Debug, Clone)]
+struct RefMorph {
+    mode: MorphMode,
+    format: MorphFormat,
+    major: u64,
+    bases: [u64; 2],
+    values: [u16; 128],
+}
+
+impl RefMorph {
+    fn new(mode: MorphMode) -> Self {
+        RefMorph {
+            mode,
+            format: MorphFormat::Zcc,
+            major: 0,
+            bases: [0; 2],
+            values: [0; 128],
+        }
+    }
+
+    fn nonzero(&self) -> usize {
+        self.values.iter().filter(|&&v| v != 0).count()
+    }
+
+    fn max_value(&self) -> u64 {
+        self.values.iter().copied().max().unwrap_or(0) as u64
+    }
+
+    fn get(&self, slot: usize) -> u64 {
+        let minor = self.values[slot] as u64;
+        match self.format {
+            MorphFormat::Zcc | MorphFormat::Uniform => self.major + minor,
+            MorphFormat::Mcr => (self.major << 7) + self.bases[slot / REF_MCR_SET] + minor,
+        }
+    }
+
+    fn fields(&self, mac: u64) -> MorphFields {
+        MorphFields {
+            format: self.format,
+            major: self.major,
+            bases: self.bases,
+            minors: self.values.iter().map(|&v| u64::from(v)).collect(),
+            mac,
+        }
+    }
+
+    fn full_reset(&mut self, slot: usize, kind: OverflowKind) -> IncrementOutcome {
+        let used = self.nonzero();
+        self.major += self.max_value() + 1;
+        self.values.fill(0);
+        self.values[slot] = 1;
+        self.format = MorphFormat::Zcc;
+        overflow(ReencryptSpan::All, used, kind)
+    }
+
+    fn full_reset_from_mcr(&mut self, slot: usize, kind: OverflowKind) -> IncrementOutcome {
+        let used = self.nonzero();
+        self.major = (self.major + 2) << 7;
+        self.bases = [0; 2];
+        self.values.fill(0);
+        self.values[slot] = 1;
+        self.format = MorphFormat::Zcc;
+        overflow(ReencryptSpan::All, used, kind)
+    }
+
+    fn increment(&mut self, slot: usize) -> IncrementOutcome {
+        match self.format {
+            MorphFormat::Zcc => self.increment_zcc(slot),
+            MorphFormat::Uniform => self.increment_uniform(slot),
+            MorphFormat::Mcr => self.increment_mcr(slot),
+        }
+    }
+
+    fn increment_zcc(&mut self, slot: usize) -> IncrementOutcome {
+        let was_zero = self.values[slot] == 0;
+        let nonzero_after = self.nonzero() + usize::from(was_zero);
+        if let Some(width) = zcc_width(nonzero_after) {
+            let limit = 1u64 << width;
+            let new_val = self.values[slot] as u64 + 1;
+            if self.max_value() >= limit {
+                return self.full_reset(slot, OverflowKind::ZccRewidthFailure);
+            }
+            if new_val >= limit {
+                return self.full_reset(slot, OverflowKind::FullReset);
+            }
+            self.values[slot] = new_val as u16;
+            return IncrementOutcome::Ok;
+        }
+        match self.mode {
+            MorphMode::ZccOnly | MorphMode::SingleBase => {
+                if self.max_value() > REF_MINOR3_MAX {
+                    return self.full_reset(slot, OverflowKind::ZccRewidthFailure);
+                }
+                self.format = MorphFormat::Uniform;
+                self.values[slot] += 1;
+                IncrementOutcome::Ok
+            }
+            MorphMode::ZccRebase => self.switch_to_mcr(slot),
+        }
+    }
+
+    fn switch_to_mcr(&mut self, slot: usize) -> IncrementOutcome {
+        let used = self.nonzero();
+        let base_init = self.major & REF_BASE_MAX;
+        let major49 = self.major >> 7;
+        let mut reset_sets = [false; 2];
+        let mut new_bases = [base_init; 2];
+        for set in 0..2 {
+            let range = set * REF_MCR_SET..(set + 1) * REF_MCR_SET;
+            let max_set = self.values[range].iter().copied().max().unwrap_or(0) as u64;
+            if max_set > REF_MINOR3_MAX {
+                let bumped = base_init + max_set + 1;
+                if bumped > REF_BASE_MAX {
+                    return self.full_reset(slot, OverflowKind::FormatSwitchReset);
+                }
+                reset_sets[set] = true;
+                new_bases[set] = bumped;
+            }
+        }
+        self.format = MorphFormat::Mcr;
+        self.major = major49;
+        self.bases = new_bases;
+        for (set, &reset) in reset_sets.iter().enumerate() {
+            if reset {
+                self.values[set * REF_MCR_SET..(set + 1) * REF_MCR_SET].fill(0);
+            }
+        }
+        self.values[slot] += 1;
+        match reset_sets {
+            [false, false] => IncrementOutcome::Ok,
+            [true, true] => overflow(ReencryptSpan::All, used, OverflowKind::FormatSwitchReset),
+            [first, _] => {
+                let set = usize::from(!first);
+                let span = ReencryptSpan::Set {
+                    start: set * REF_MCR_SET,
+                    len: REF_MCR_SET,
+                };
+                overflow(span, used, OverflowKind::FormatSwitchReset)
+            }
+        }
+    }
+
+    fn increment_uniform(&mut self, slot: usize) -> IncrementOutcome {
+        if (self.values[slot] as u64) < REF_MINOR3_MAX {
+            self.values[slot] += 1;
+            return IncrementOutcome::Ok;
+        }
+        if self.mode == MorphMode::SingleBase {
+            let min = self.values.iter().copied().min().unwrap_or(0) as u64;
+            if min > 0 {
+                self.major += min;
+                for v in self.values.iter_mut() {
+                    *v -= min as u16;
+                }
+                self.values[slot] += 1;
+                return IncrementOutcome::Rebased;
+            }
+        }
+        self.full_reset(slot, OverflowKind::FullReset)
+    }
+
+    fn increment_mcr(&mut self, slot: usize) -> IncrementOutcome {
+        if (self.values[slot] as u64) < REF_MINOR3_MAX {
+            self.values[slot] += 1;
+            return IncrementOutcome::Ok;
+        }
+        let set = slot / REF_MCR_SET;
+        let range = set * REF_MCR_SET..(set + 1) * REF_MCR_SET;
+        let min_set = self.values[range.clone()].iter().copied().min().unwrap_or(0) as u64;
+        if min_set > 0 {
+            let new_base = self.bases[set] + min_set;
+            if new_base > REF_BASE_MAX {
+                return self.full_reset_from_mcr(slot, OverflowKind::BaseOverflow);
+            }
+            self.bases[set] = new_base;
+            for v in &mut self.values[range] {
+                *v -= min_set as u16;
+            }
+            self.values[slot] += 1;
+            return IncrementOutcome::Rebased;
+        }
+        let range_nonzero = self.values[range.clone()].iter().filter(|&&v| v != 0).count();
+        if range_nonzero <= REF_SPARSE_SET_THRESHOLD {
+            return self.full_reset_from_mcr(slot, OverflowKind::FullReset);
+        }
+        let used = self.nonzero();
+        let max_set = self.values[range.clone()].iter().copied().max().unwrap_or(0) as u64;
+        let new_base = self.bases[set] + max_set + 1;
+        if new_base > REF_BASE_MAX {
+            return self.full_reset_from_mcr(slot, OverflowKind::BaseOverflow);
+        }
+        self.bases[set] = new_base;
+        self.values[range].fill(0);
+        self.values[slot] = 1;
+        let span = ReencryptSpan::Set {
+            start: set * REF_MCR_SET,
+            len: REF_MCR_SET,
+        };
+        overflow(span, used, OverflowKind::SetReset)
+    }
+}
+
+/// A split line as plain fields, with the split-counter increment rule.
+#[derive(Debug, Clone)]
+struct RefSplit {
+    config: SplitConfig,
+    major: u64,
+    minors: Vec<u64>,
+}
+
+impl RefSplit {
+    fn new(config: SplitConfig) -> Self {
+        RefSplit {
+            config,
+            major: 0,
+            minors: vec![0; config.arity],
+        }
+    }
+
+    fn get(&self, slot: usize) -> u64 {
+        (self.major << self.config.minor_bits) | self.minors[slot]
+    }
+
+    fn used(&self) -> usize {
+        self.minors.iter().filter(|&&m| m != 0).count()
+    }
+
+    fn increment(&mut self, slot: usize) -> IncrementOutcome {
+        if self.minors[slot] < (1u64 << self.config.minor_bits) - 1 {
+            self.minors[slot] += 1;
+            return IncrementOutcome::Ok;
+        }
+        let used = self.used();
+        self.major += 1;
+        self.minors.fill(0);
+        self.minors[slot] = 1;
+        overflow(ReencryptSpan::All, used, OverflowKind::FullReset)
+    }
+}
+
+/// A transition a lockstep run went through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Reached {
+    Outcome(Option<OverflowKind>, bool),
+    Morph(MorphFormat, MorphFormat),
+    Width(u32, u32),
+}
+
+/// Increments `slot` on `line` and on `model`, then checks that the two
+/// agree on everything the line reports.
+fn morph_step(
+    line: &mut MorphLine,
+    model: &mut RefMorph,
+    slot: usize,
+    mac: u64,
+    reached: &mut HashSet<Reached>,
+) -> Result<IncrementOutcome, TestCaseError> {
+    let (format, width) = (model.format, zcc_width(model.nonzero()));
+    let expected = model.increment(slot);
+    let outcome = line.increment(slot);
+    prop_assert_eq!(outcome, expected, "increment of slot {} in {:?}", slot, format);
+    for s in 0..128 {
+        prop_assert_eq!(line.get(s), model.get(s), "slot {} after incrementing {}", s, slot);
+    }
+    prop_assert_eq!(line.used_counters(), model.nonzero());
+    prop_assert_eq!(line.format(), model.format);
+    prop_assert_eq!(line.mac(), mac);
+    let fields = model.fields(mac);
+    prop_assert_eq!(line.encode(), ref_morph_encode(&fields, true), "slot {}", slot);
+    prop_assert_eq!(line.encode_for_mac(), ref_morph_encode(&fields, false));
+
+    let kind = outcome.overflow().map(|event| event.kind);
+    reached.insert(Reached::Outcome(kind, outcome == IncrementOutcome::Rebased));
+    if model.format != format {
+        reached.insert(Reached::Morph(format, model.format));
+    }
+    if let (MorphFormat::Zcc, MorphFormat::Zcc, Some(from), Some(to)) =
+        (format, model.format, width, line.zcc_counter_size())
+    {
+        if from != to && kind.is_none() {
+            reached.insert(Reached::Width(from, to));
+        }
+    }
+    Ok(outcome)
+}
+
+/// Runs `slots` through a fresh line of `mode` and the reference model in
+/// lockstep.
+fn morph_lockstep(
+    mode: MorphMode,
+    slots: &[usize],
+    mac: u64,
+    reached: &mut HashSet<Reached>,
+) -> Result<(), TestCaseError> {
+    let mut line = MorphLine::new(mode);
+    let mut model = RefMorph::new(mode);
+    line.set_mac(mac);
+    for &slot in slots {
+        morph_step(&mut line, &mut model, slot, mac, reached)?;
+    }
+    Ok(())
+}
+
+/// Runs `slots` through a fresh split line of `arity` and the reference
+/// model in lockstep.
+fn split_lockstep(arity: usize, slots: &[usize], mac: u64) -> Result<usize, TestCaseError> {
+    let config = SplitConfig::with_arity(arity);
+    let mut line = SplitLine::new(config);
+    let mut model = RefSplit::new(config);
+    line.set_mac(mac);
+    let mut overflows = 0;
+    for &slot in slots {
+        let expected = model.increment(slot);
+        let outcome = line.increment(slot);
+        prop_assert_eq!(outcome, expected, "SC-{} slot {}", arity, slot);
+        overflows += usize::from(outcome.overflow().is_some());
+        for s in 0..arity {
+            prop_assert_eq!(line.get(s), model.get(s), "SC-{} slot {}", arity, s);
+        }
+        prop_assert_eq!(line.used_counters(), model.used());
+        prop_assert_eq!(line.major(), model.major);
+        let fields = (model.major, model.minors.clone(), mac);
+        prop_assert_eq!(line.encode(), ref_split_encode(config, &fields, true));
+        prop_assert_eq!(line.encode_for_mac(), ref_split_encode(config, &fields, false));
+    }
+    Ok(overflows)
+}
+
+/// A deterministic skewed slot stream over `0..arity`: `hot` distinct
+/// slots, scattered by an odd stride, where each write picks the lowest
+/// of `1 + skew` uniform ranks, so a few slots take most of the writes.
+fn skewed_slots(seed: u64, arity: usize, hot: usize, skew: u32, len: usize) -> Vec<usize> {
+    let hot = hot.clamp(1, arity);
+    let stride = 2 * (seed >> 40) as usize % arity + 1;
+    let offset = (seed >> 20) as usize % arity;
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize
+    };
+    (0..len)
+        .map(|_| {
+            let rank = (0..=skew).map(|_| next() % hot).min().unwrap_or(0);
+            (rank * stride + offset) % arity
+        })
+        .collect()
+}
+
+/// Slots `0..n` once each, in order.
+fn fill(n: usize) -> Vec<usize> {
+    (0..n).collect()
+}
+
+/// `slot` written `times` times.
+fn hammer(slot: usize, times: usize) -> Vec<usize> {
+    vec![slot; times]
+}
+
+/// Scripted histories that between them reach every transition of the
+/// rules in every mode.
+fn scripted_histories() -> Vec<Vec<usize>> {
+    let round_robin: Vec<usize> = (0..150).flat_map(|_| 0..128).collect();
+    vec![
+        // Every ZCC width crossing with small values, then the switch out
+        // of ZCC and long uniform sweeps: rebases until a base overflows
+        // (MCR), single-base rebases, and uniform overflows (ZCC-only).
+        [fill(128), round_robin].concat(),
+        // Sixteen wide counters, then a seventeenth: the rewidth fails.
+        [(0..16).flat_map(|slot| hammer(slot, 300)).collect::<Vec<_>>(), vec![16]].concat(),
+        // §V's pathological 67 writes: 52 counters, then 15 to one.
+        [fill(52), hammer(0, 15)].concat(),
+        // Wide minors in set 0 when the 65th counter arrives: the switch
+        // to MCR resets set 0 (and ZCC-only refuses the uniform format).
+        [(0..32).flat_map(|slot| hammer(slot, 12)).collect::<Vec<_>>(), fill(65)[32..].to_vec()].concat(),
+        // A dense set with zero minors after a rebase: a set reset.
+        [fill(128), fill(40), hammer(5, 7)].concat(),
+        // One hot counter in a dense MCR line: the adaptive escape.
+        [fill(128), hammer(5, 16)].concat(),
+    ]
+}
+
+#[test]
+fn scripted_histories_match_the_reference_rules_and_reach_every_transition() {
+    for mode in [
+        MorphMode::ZccOnly,
+        MorphMode::ZccRebase,
+        MorphMode::SingleBase,
+    ] {
+        let mut reached = HashSet::new();
+        for (i, slots) in scripted_histories().iter().enumerate() {
+            let mac = 0x5eed_0000 + i as u64;
+            morph_lockstep(mode, slots, mac, &mut reached).unwrap();
+        }
+        let mut expected = vec![
+            Reached::Width(16, 8),
+            Reached::Width(8, 7),
+            Reached::Width(7, 6),
+            Reached::Width(6, 5),
+            Reached::Width(5, 4),
+            Reached::Outcome(None, false),
+            Reached::Outcome(Some(OverflowKind::FullReset), false),
+            Reached::Outcome(Some(OverflowKind::ZccRewidthFailure), false),
+        ];
+        match mode {
+            MorphMode::ZccRebase => expected.extend([
+                Reached::Morph(MorphFormat::Zcc, MorphFormat::Mcr),
+                Reached::Morph(MorphFormat::Mcr, MorphFormat::Zcc),
+                Reached::Outcome(None, true),
+                Reached::Outcome(Some(OverflowKind::SetReset), false),
+                Reached::Outcome(Some(OverflowKind::BaseOverflow), false),
+                Reached::Outcome(Some(OverflowKind::FormatSwitchReset), false),
+            ]),
+            MorphMode::SingleBase => expected.extend([
+                Reached::Morph(MorphFormat::Zcc, MorphFormat::Uniform),
+                Reached::Outcome(None, true),
+            ]),
+            MorphMode::ZccOnly => expected.extend([
+                Reached::Morph(MorphFormat::Zcc, MorphFormat::Uniform),
+                Reached::Morph(MorphFormat::Uniform, MorphFormat::Zcc),
+            ]),
+        }
+        for event in expected {
+            assert!(reached.contains(&event), "{mode:?} never reached {event:?}");
+        }
+    }
+}
+
+#[test]
+fn the_pathological_pattern_overflows_on_write_67_in_lockstep() {
+    let mut line = MorphLine::new(MorphMode::ZccRebase);
+    let mut model = RefMorph::new(MorphMode::ZccRebase);
+    let mut reached = HashSet::new();
+    let slots = [fill(52), hammer(0, 15)].concat();
+    for (write, &slot) in slots.iter().enumerate() {
+        let outcome = morph_step(&mut line, &mut model, slot, 0, &mut reached).unwrap();
+        assert_eq!(outcome.overflow().is_some(), write + 1 == 67, "write {}", write + 1);
+    }
+}
+
+#[test]
+fn split_lines_overflow_in_lockstep_at_every_arity() {
+    for arity in [8usize, 16, 32, 64, 128] {
+        // One counter past its minor's range where that takes few
+        // writes, then a sweep of every slot.
+        let minor_bits = SplitConfig::with_arity(arity).minor_bits;
+        let hot = if minor_bits <= 12 { 1 << minor_bits } else { 500 };
+        let slots = [hammer(arity - 1, hot), fill(arity), hammer(0, 9)].concat();
+        let overflows = split_lockstep(arity, &slots, 0xabcd).unwrap();
+        assert_eq!(overflows > 0, minor_bits <= 12, "SC-{arity}: {overflows} overflows");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Skewed random histories in every mode: the line and the reference
+    /// rules agree after every increment.
+    #[test]
+    fn morph_increments_match_the_reference_rules(
+        mode in any_mode(),
+        seed in any::<u64>(),
+        hot in 1usize..=128,
+        skew in 0u32..4,
+        len in 1usize..1500,
+        mac in any::<u64>(),
+    ) {
+        let slots = skewed_slots(seed, 128, hot, skew, len);
+        morph_lockstep(mode, &slots, mac, &mut HashSet::new())?;
+    }
+
+    /// Skewed random histories at every split arity.
+    #[test]
+    fn split_increments_match_the_reference_rules(
+        arity in any_split_arity(),
+        seed in any::<u64>(),
+        hot in 1usize..=128,
+        skew in 0u32..4,
+        len in 1usize..1500,
+        mac in any::<u64>(),
+    ) {
+        let slots = skewed_slots(seed, arity, hot, skew, len);
+        split_lockstep(arity, &slots, mac)?;
     }
 }
