@@ -11,7 +11,9 @@
 //! by field.
 //!
 //! [`get_bits`] / [`set_bits`] address one field anywhere in an image;
-//! tests use them to corrupt images.
+//! tests use them to corrupt images. `load_field` / `store_field` are
+//! the single-field accessors of a line kept as its image: one
+//! eight-byte load (and store) per field.
 
 use crate::{CACHELINE_BITS, CACHELINE_BYTES};
 
@@ -35,7 +37,8 @@ fn to_bytes(words: &[u64; LINE_WORDS]) -> [u8; CACHELINE_BYTES] {
 }
 
 /// The low `width` bits set (`width <= 64`).
-fn low_mask(width: u32) -> u64 {
+#[inline]
+pub(crate) fn low_mask(width: u32) -> u64 {
     u64::MAX.checked_shr(64 - width).unwrap_or(0)
 }
 
@@ -56,6 +59,50 @@ fn check_fits(value: u64, width: u32) {
         value.checked_shr(width).unwrap_or(0) == 0,
         "value {value:#x} does not fit in {width} bits"
     );
+}
+
+/// The eight bytes of `image` from byte `byte` on, as a little-endian word.
+#[inline]
+fn window(image: &[u8; CACHELINE_BYTES], byte: usize) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes.copy_from_slice(&image[byte..byte + 8]);
+    u64::from_le_bytes(bytes)
+}
+
+/// Reads the `width`-bit field at bit `bit` with one eight-byte load from
+/// the field's first byte.
+///
+/// Every field of a counter-line layout fits in the word that starts at
+/// its first byte: fields are at most 57 bits wide, or 64 bits and
+/// byte-aligned, and none starts past byte 56.
+///
+/// # Panics
+///
+/// Panics if the word would run past the line; debug builds also check
+/// that the field lies within the word.
+#[inline]
+#[must_use]
+pub(crate) fn load_field(image: &[u8; CACHELINE_BYTES], bit: usize, width: u32) -> u64 {
+    debug_assert!(bit % 8 + width as usize <= 64, "field at {bit} straddles its word");
+    (window(image, bit / 8) >> (bit % 8)) & low_mask(width)
+}
+
+/// Writes `value` into the `width`-bit field at bit `bit`, leaving every
+/// other bit of the line as it was: the store counterpart of
+/// [`load_field`], under the same layout conditions.
+///
+/// # Panics
+///
+/// Panics if the word would run past the line; debug builds also check
+/// that the field lies within the word and that `value` fits.
+#[inline]
+pub(crate) fn store_field(image: &mut [u8; CACHELINE_BYTES], bit: usize, width: u32, value: u64) {
+    debug_assert!(bit % 8 + width as usize <= 64, "field at {bit} straddles its word");
+    debug_assert!(value & !low_mask(width) == 0, "value {value:#x} does not fit in {width} bits");
+    let (byte, shift) = (bit / 8, bit % 8);
+    let mask = low_mask(width) << shift;
+    let word = (window(image, byte) & !mask) | ((value << shift) & mask);
+    image[byte..byte + 8].copy_from_slice(&word.to_le_bytes());
 }
 
 /// Writes the fields of a line image in order, starting at bit 0.
@@ -149,22 +196,6 @@ impl BitWriter {
         }
     }
 
-    /// Leaves zero bits up to bit offset `bit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` lies behind the current position or past the line.
-    pub fn skip_to(&mut self, bit: usize) {
-        assert!(
-            bit >= self.position() && bit <= CACHELINE_BITS,
-            "cannot skip to bit {bit}"
-        );
-        while self.position() < bit {
-            let gap = (bit - self.position()).min(64);
-            self.write(gap as u32, 0);
-        }
-    }
-
     /// The finished 64-byte image.
     #[must_use]
     pub fn finish(mut self) -> [u8; CACHELINE_BYTES] {
@@ -190,12 +221,6 @@ impl BitReader {
             words: to_words(image),
             bit: 0,
         }
-    }
-
-    /// Bit offset of the next field.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.bit
     }
 
     /// Reads the next `width` bits as a `u64`.
@@ -380,7 +405,10 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn writer_rejects_fields_past_the_line() {
         let mut writer = BitWriter::new();
-        writer.skip_to(500);
+        for _ in 0..7 {
+            writer.write(64, 0);
+        }
+        writer.write(52, 0);
         writer.write(13, 0);
     }
 
@@ -433,6 +461,21 @@ mod tests {
         for &(width, value) in &fields {
             assert_eq!(reader.read(width), value);
         }
+    }
+
+    #[test]
+    fn single_field_accessors_agree_with_the_field_helpers() {
+        let mut buf = [0xa5u8; CACHELINE_BYTES];
+        for (bit, width, value) in [(1, 49, 0x1_2345_6789_abcd), (7, 57, 1), (50, 7, 127), (447, 1, 1)] {
+            store_field(&mut buf, bit, width, value);
+            assert_eq!(load_field(&buf, bit, width), value);
+            assert_eq!(get_bits(&buf, bit, width as usize), value);
+        }
+        store_field(&mut buf, 448, 64, u64::MAX - 1);
+        assert_eq!(load_field(&buf, 448, 64), u64::MAX - 1);
+        // The bits around a field keep their old pattern.
+        assert_eq!(get_bits(&buf, 448 - 4, 4), 0xa);
+        assert_eq!(get_bits(&buf, 64, 8), 0xa5);
     }
 
     #[test]

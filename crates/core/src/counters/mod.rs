@@ -14,8 +14,10 @@
 //!   a uniform/rebasing format (many small counters), overflowing far less
 //!   often.
 //!
-//! All organizations implement [`CounterLine`] and encode to a bit-exact
-//! 64-byte image, so storage claims hold by construction.
+//! All organizations implement [`CounterLine`] and are kept as their
+//! bit-exact 64-byte image, so storage claims hold by construction: a
+//! counter read is a field extract, `encode` is a copy, and a line needs
+//! no heap.
 
 pub mod analytic;
 pub mod bits;
@@ -171,14 +173,23 @@ pub trait CounterLine: fmt::Debug {
 ///
 /// This enum (rather than `Box<dyn CounterLine>`) keeps per-line storage
 /// compact and increment dispatch branch-predictable — counter lines are the
-/// hottest objects in the simulator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// hottest objects in the simulator. Both variants are a 64-byte image and
+/// a byte of configuration, so a line is `Copy` and owns no heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Line {
     /// A split-counter line (SC-n, SGX MEE, VAULT entries).
     Split(split::SplitLine),
     /// A morphable counter line (ZCC / uniform / MCR).
     Morph(morph::MorphLine),
 }
+
+// A line is its image plus a tag: a boxed or `Vec` field brought back
+// into either variant breaks one of these two.
+const _: () = assert!(std::mem::size_of::<Line>() <= 72, "a counter line outgrew its image");
+const _: fn() = || {
+    fn assert_copy<T: Copy>() {}
+    assert_copy::<Line>();
+};
 
 impl From<split::SplitLine> for Line {
     fn from(line: split::SplitLine) -> Self {
@@ -263,8 +274,9 @@ impl CounterOrg {
         }
     }
 
-    /// Decodes a 64-byte line image of this organization. Every split
-    /// image decodes; a non-canonical morphable image is a `CodecError`.
+    /// Decodes a 64-byte line image of this organization: a checked
+    /// copy. Every split image decodes; a non-canonical morphable image is
+    /// a `CodecError`.
     pub(crate) fn decode_line(&self, image: &[u8; 64]) -> Result<Line, crate::error::CodecError> {
         Ok(match *self {
             CounterOrg::Split { arity } => {

@@ -1,4 +1,4 @@
-//! Bit-exact 64-byte encoding of morphable counter lines.
+//! Bit-exact 64-byte layouts of morphable counter lines.
 //!
 //! The layouts realize Fig 8 and Fig 13 of the paper. The paper draws the
 //! 7-bit format field between the major counter and the minors; we place
@@ -11,24 +11,61 @@
 //! MCR     [family=1:1][major:49][base-1:7][base-2:7][64 x 3-bit:192][64 x 3-bit:192][MAC:64]
 //! ```
 //!
-//! Every layout is exactly 512 bits.
+//! Every layout is exactly 512 bits. A [`MorphLine`](super::MorphLine) is
+//! kept as its image, so this module holds the field offsets it reads,
+//! the canonical-image check a decode makes, and the [`unpack`] / [`pack`]
+//! pair that the increments rewriting a whole line go through.
 
 use super::super::bits::{BitReader, BitWriter};
 use super::{
-    zcc_width, MorphFormat, MorphLine, MorphMode, MCR_BASE_BITS, MCR_MAJOR_BITS, MORPH_ARITY,
+    zcc_width, MorphFormat, MorphMode, Unpacked, MCR_BASE_BITS, MCR_MAJOR_BITS, MORPH_ARITY,
     ZCC_MAJOR_BITS,
 };
 use crate::error::CodecError;
 use crate::{CACHELINE_BITS, CACHELINE_BYTES, LINE_MAC_BITS};
 
-const MAC_OFFSET: usize = CACHELINE_BITS - LINE_MAC_BITS;
+/// First bit of the MAC field.
+pub(super) const MAC_OFFSET: usize = CACHELINE_BITS - LINE_MAC_BITS;
+
+/// First byte of the MAC field.
+pub(super) const MAC_BYTE: usize = MAC_OFFSET / 8;
+
+/// Bit offset of `ctr-sz` (ZCC and Uniform).
+pub(super) const CTR_SZ_BIT: usize = 1;
+
+/// Width of `ctr-sz`.
+pub(super) const CTR_SZ_BITS: u32 = 6;
+
+/// Bit offset of the 57-bit major (ZCC and Uniform).
+pub(super) const ZCC_MAJOR_BIT: usize = 7;
+
+/// Bit offset of the 49-bit major (MCR).
+pub(super) const MCR_MAJOR_BIT: usize = 1;
+
+/// Bit offsets of the two 7-bit bases (MCR).
+pub(super) const MCR_BASE_BIT: [usize; 2] = [50, 57];
+
+/// Byte range of the ZCC bit-vector (bits 64..192).
+pub(super) const BITVEC_BYTES: std::ops::Range<usize> = 8..24;
+
+/// First bit of the ZCC value field (256 bits, up to the MAC).
+pub(super) const VALUES_BIT: usize = 192;
+
+/// First bit of the Uniform / MCR minors.
+const MINORS_BIT: usize = 64;
 
 /// The `ctr-sz` value that marks the uniform 128 × 3-bit format
 /// (`zcc_width` never yields 3, so the encoding is unambiguous).
-const UNIFORM_CTR_SZ: u64 = 3;
+pub(super) const UNIFORM_CTR_SZ: u64 = 3;
 
 /// Width of the Uniform / MCR minors.
-const MINOR_BITS: u32 = 3;
+pub(super) const MINOR_BITS: u32 = 3;
+
+/// Bit offset of Uniform / MCR minor `slot`.
+#[inline]
+pub(super) fn minor_bit(slot: usize) -> usize {
+    MINORS_BIT + MINOR_BITS as usize * slot
+}
 
 /// Most counters a ZCC image packs (`zcc_width` refuses more).
 const ZCC_MAX_PACKED: usize = 64;
@@ -66,9 +103,8 @@ impl Iterator for MarkedSlots {
     }
 }
 
-/// Encodes `line` into its 64-byte image. When `with_mac` is false the MAC
-/// field is left zero (the byte string a MAC is computed over).
-pub fn encode(line: &MorphLine, with_mac: bool) -> [u8; CACHELINE_BYTES] {
+/// Packs `line` into its 64-byte image with the MAC field zero.
+pub(super) fn pack(line: &Unpacked) -> [u8; CACHELINE_BYTES] {
     let mut w = BitWriter::new();
     match line.format {
         MorphFormat::Zcc => {
@@ -76,13 +112,13 @@ pub fn encode(line: &MorphLine, with_mac: bool) -> [u8; CACHELINE_BYTES] {
             let nonzero = (bitvec[0].count_ones() + bitvec[1].count_ones()) as usize;
             let Some(width) = zcc_width(nonzero) else {
                 // The ZCC format invariant (at most 64 non-zero minors) is
-                // maintained by every increment path; encoding a violating
+                // maintained by every increment path; packing a violating
                 // line must fail loudly, not emit a corrupt image.
                 panic!("ZCC line with {nonzero} non-zero minors cannot be encoded");
             };
             assert!(line.major < 1 << ZCC_MAJOR_BITS, "ZCC major exceeds 57 bits");
             w.write(1, 0);
-            w.write(6, u64::from(width));
+            w.write(CTR_SZ_BITS, u64::from(width));
             w.write(ZCC_MAJOR_BITS, line.major);
             w.write(64, bitvec[0]);
             w.write(64, bitvec[1]);
@@ -97,7 +133,7 @@ pub fn encode(line: &MorphLine, with_mac: bool) -> [u8; CACHELINE_BYTES] {
         MorphFormat::Uniform => {
             assert!(line.major < 1 << ZCC_MAJOR_BITS, "uniform major exceeds 57 bits");
             w.write(1, 0);
-            w.write(6, UNIFORM_CTR_SZ);
+            w.write(CTR_SZ_BITS, UNIFORM_CTR_SZ);
             w.write(ZCC_MAJOR_BITS, line.major);
             w.write_all(MINOR_BITS, &line.values[..]);
         }
@@ -110,74 +146,81 @@ pub fn encode(line: &MorphLine, with_mac: bool) -> [u8; CACHELINE_BYTES] {
             w.write_all(MINOR_BITS, &line.values[..]);
         }
     }
-    if with_mac {
-        w.skip_to(MAC_OFFSET);
-        w.write(LINE_MAC_BITS as u32, line.mac);
-    }
     w.finish()
 }
 
-/// Decodes a 64-byte image back into a line (the `mode` is configuration,
-/// not stored in the image).
-///
-/// Decoding is canonical: an image is accepted only if [`encode`] of the
-/// decoded line gives back the same bytes. Uniform and MCR use every body
-/// bit, so only ZCC needs checks beyond its `ctr-sz`: each slot marked in
-/// the bit-vector must hold a non-zero value, and the value bits past the
-/// last packed counter must be zero.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] if the image is not a well-formed morphable line
-/// (e.g. the stored `ctr-sz` disagrees with the bit-vector population
-/// count). Images only ever come from [`encode`], so a decode failure means
-/// the stored bytes were corrupted in flight — a torn snapshot write, bit
-/// rot, or tampering below the MAC layer.
-pub fn decode(mode: MorphMode, image: &[u8; CACHELINE_BYTES]) -> Result<MorphLine, CodecError> {
-    let mut line = MorphLine::new(mode);
+/// Unpacks a canonical image (one [`check`] accepts) into its fields.
+pub(super) fn unpack(mode: MorphMode, image: &[u8; CACHELINE_BYTES]) -> Unpacked {
+    let mut line = Unpacked::new(mode);
     let mut r = BitReader::new(image);
-    r.seek(MAC_OFFSET);
-    line.mac = r.read(LINE_MAC_BITS as u32);
-    r.seek(0);
     if r.read(1) == 1 {
         line.format = MorphFormat::Mcr;
         line.major = r.read(MCR_MAJOR_BITS);
         line.bases = [r.read(MCR_BASE_BITS), r.read(MCR_BASE_BITS)];
         read_minors(&mut r, &mut line);
-        return Ok(line);
+        return line;
     }
-    let ctr_sz = r.read(6);
+    let ctr_sz = r.read(CTR_SZ_BITS);
     line.major = r.read(ZCC_MAJOR_BITS);
     if ctr_sz == UNIFORM_CTR_SZ {
         line.format = MorphFormat::Uniform;
         read_minors(&mut r, &mut line);
-        return Ok(line);
+        return line;
     }
-    line.format = MorphFormat::Zcc;
+    let bitvec = [r.read(64), r.read(64)];
+    let nonzero = (bitvec[0].count_ones() + bitvec[1].count_ones()) as usize;
+    let mut packed = [0u64; ZCC_MAX_PACKED];
+    r.read_all(ctr_sz as u32, &mut packed[..nonzero]);
+    for (slot, &value) in MarkedSlots(bitvec).zip(&packed[..nonzero]) {
+        line.values[slot] = value as u16;
+    }
+    line
+}
+
+/// Checks that `image` is a canonical morphable line: one that packing
+/// its fields gives back byte for byte.
+///
+/// Uniform and MCR use every body bit, so only ZCC needs checks beyond
+/// its `ctr-sz`: each slot marked in the bit-vector must hold a non-zero
+/// value, and the value bits past the last packed counter must be zero.
+///
+/// # Errors
+///
+/// Returns [`CodecError`] if the image is not a well-formed morphable line
+/// (e.g. the stored `ctr-sz` disagrees with the bit-vector population
+/// count). Images only ever come from [`pack`] and the in-place
+/// increments, so a failure means the stored bytes were corrupted in
+/// flight — a torn snapshot write, bit rot, or tampering below the MAC
+/// layer.
+pub(super) fn check(image: &[u8; CACHELINE_BYTES]) -> Result<(), CodecError> {
+    let mut r = BitReader::new(image);
+    if r.read(1) == 1 {
+        return Ok(());
+    }
+    let ctr_sz = r.read(CTR_SZ_BITS);
+    if ctr_sz == UNIFORM_CTR_SZ {
+        return Ok(());
+    }
+    r.seek(BITVEC_BYTES.start * 8);
     let bitvec = [r.read(64), r.read(64)];
     let nonzero = (bitvec[0].count_ones() + bitvec[1].count_ones()) as usize;
     let width = zcc_width(nonzero).ok_or(CodecError::TooManyNonZero { nonzero })?;
     if u64::from(width) != ctr_sz {
         return Err(CodecError::CtrSizeMismatch { stored: ctr_sz, derived: u64::from(width) });
     }
-    let start = r.position();
     let mut packed = [0u64; ZCC_MAX_PACKED];
     r.read_all(width, &mut packed[..nonzero]);
-    for (i, (slot, &value)) in MarkedSlots(bitvec).zip(&packed[..nonzero]).enumerate() {
-        if value == 0 {
-            let bit = start + i * width as usize;
-            return Err(CodecError::NonCanonical { bit });
-        }
-        line.values[slot] = value as u16;
+    if let Some(i) = packed[..nonzero].iter().position(|&value| value == 0) {
+        return Err(CodecError::NonCanonical { bit: VALUES_BIT + i * width as usize });
     }
-    if let Some(bit) = r.first_one_before(MAC_OFFSET) {
-        return Err(CodecError::NonCanonical { bit });
+    match r.first_one_before(MAC_OFFSET) {
+        Some(bit) => Err(CodecError::NonCanonical { bit }),
+        None => Ok(()),
     }
-    Ok(line)
 }
 
 /// Reads the 128 × 3-bit minors of the Uniform and MCR formats.
-fn read_minors(r: &mut BitReader, line: &mut MorphLine) {
+fn read_minors(r: &mut BitReader, line: &mut Unpacked) {
     let mut fields = [0u64; MORPH_ARITY];
     r.read_all(MINOR_BITS, &mut fields);
     for (v, field) in line.values.iter_mut().zip(fields) {
@@ -187,12 +230,19 @@ fn read_minors(r: &mut BitReader, line: &mut MorphLine) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::MorphLine;
     use super::*;
     use crate::counters::{CounterLine, IncrementOutcome};
+
+    fn decode(mode: MorphMode, image: &[u8; CACHELINE_BYTES]) -> Result<MorphLine, CodecError> {
+        MorphLine::decode(mode, image)
+    }
 
     fn roundtrip(line: &MorphLine) {
         let decoded = decode(line.mode(), &line.encode()).unwrap();
         assert_eq!(&decoded, line);
+        let unpacked = unpack(line.mode(), &line.encode());
+        assert_eq!(pack(&unpacked)[..MAC_BYTE], line.encode()[..MAC_BYTE]);
     }
 
     #[test]
@@ -253,8 +303,9 @@ mod tests {
 
     #[test]
     fn all_formats_fit_512_bits() {
-        // encode() would panic in the bit writer if any field overran the line;
-        // drive a line through all three formats to prove the layouts fit.
+        // pack() would panic in the bit writer if any field overran the
+        // line; drive a line through all three formats to prove the
+        // layouts fit.
         let mut line = MorphLine::new(MorphMode::ZccRebase);
         let _ = line.encode();
         for slot in 0..128 {

@@ -25,9 +25,11 @@
 
 mod codec;
 
+use super::bits::{load_field, low_mask, store_field};
 use super::{
     CounterLine, IncrementOutcome, LineImage, OverflowEvent, OverflowKind, ReencryptSpan,
 };
+use crate::LINE_MAC_BITS;
 
 /// Counters per morphable line.
 pub const MORPH_ARITY: usize = 128;
@@ -102,7 +104,14 @@ pub fn zcc_width(nonzero: usize) -> Option<u32> {
     }
 }
 
-/// A morphable counter cacheline.
+/// A morphable counter cacheline, kept as its 64-byte image.
+///
+/// The image is the line's only state: the counters, the format and the
+/// MAC are fields of it, read by field extracts, and
+/// [`CounterLine::encode`] is a copy. The common increments change the
+/// packed fields in place; the rest unpack the line into a stack-only
+/// form, apply the rules there and pack it again (DESIGN §3.1 lists
+/// which are which).
 ///
 /// # Example
 ///
@@ -120,35 +129,22 @@ pub fn zcc_width(nonzero: usize) -> Option<u32> {
 /// }
 /// assert_eq!(line.get(3), 100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MorphLine {
     mode: MorphMode,
-    format: MorphFormat,
-    /// 57-bit quantity in ZCC/Uniform; 49-bit in MCR.
-    major: u64,
-    /// Per-set bases, only meaningful in MCR format.
-    bases: [u64; 2],
-    /// The 128 minor counters (≤ 16 bits each).
-    values: Box<[u16; MORPH_ARITY]>,
-    mac: u64,
+    image: LineImage,
 }
 
 impl MorphLine {
     /// Creates a fresh all-zero line in ZCC format.
     #[must_use]
     pub fn new(mode: MorphMode) -> Self {
-        MorphLine {
-            mode,
-            format: MorphFormat::Zcc,
-            major: 0,
-            bases: [0; 2],
-            values: Box::new([0; MORPH_ARITY]),
-            mac: 0,
-        }
+        MorphLine { mode, image: codec::pack(&Unpacked::new(mode)) }
     }
 
     /// Decodes a line from its 64-byte image (the inverse of
-    /// [`CounterLine::encode`]; the `mode` is configuration, not stored).
+    /// [`CounterLine::encode`]; the `mode` is configuration, not stored):
+    /// the image is checked to be canonical, then copied.
     ///
     /// # Errors
     ///
@@ -156,7 +152,8 @@ impl MorphLine {
     /// well-formed morphable line — images only ever come from the codec,
     /// so a failure means the stored bytes were corrupted.
     pub fn decode(mode: MorphMode, image: &LineImage) -> Result<Self, crate::error::CodecError> {
-        codec::decode(mode, image)
+        codec::check(image)?;
+        Ok(MorphLine { mode, image: *image })
     }
 
     /// The configured mode (ZCC-only or ZCC+Rebasing).
@@ -165,30 +162,260 @@ impl MorphLine {
         self.mode
     }
 
+    /// The first word of the image: the family bit, `ctr-sz` and the
+    /// major (ZCC / Uniform), or the major and bases (MCR).
+    #[inline]
+    fn head(&self) -> u64 {
+        load_field(&self.image, 0, 64)
+    }
+
     /// The current storage format.
     #[must_use]
     pub fn format(&self) -> MorphFormat {
-        self.format
+        format_of(self.head())
     }
 
     /// The major counter value (57-bit in ZCC/Uniform, 49-bit in MCR).
     #[must_use]
     pub fn major(&self) -> u64 {
-        self.major
+        let head = self.head();
+        match format_of(head) {
+            MorphFormat::Mcr => (head >> codec::MCR_MAJOR_BIT) & low_mask(MCR_MAJOR_BITS),
+            _ => head >> codec::ZCC_MAJOR_BIT,
+        }
     }
 
-    /// The per-set bases (meaningful only in MCR format).
+    /// The per-set bases (meaningful only in MCR format; zero otherwise).
     #[must_use]
     pub fn bases(&self) -> [u64; 2] {
-        self.bases
+        let head = self.head();
+        match format_of(head) {
+            MorphFormat::Mcr => codec::MCR_BASE_BIT.map(|bit| (head >> bit) & BASE_MAX),
+            _ => [0; 2],
+        }
     }
 
     /// The current ZCC minor width in bits, if in ZCC format.
     #[must_use]
     pub fn zcc_counter_size(&self) -> Option<u32> {
-        match self.format {
-            MorphFormat::Zcc => zcc_width(self.used_counters()),
-            _ => None,
+        let head = self.head();
+        (format_of(head) == MorphFormat::Zcc).then(|| ctr_sz(head) as u32)
+    }
+
+    /// The ZCC bit-vector: bit `s` is set iff slot `s` is non-zero.
+    #[inline]
+    fn bitvec(&self) -> u128 {
+        let mut bytes = [0u8; 16];
+        bytes.copy_from_slice(&self.image[codec::BITVEC_BYTES]);
+        u128::from_le_bytes(bytes)
+    }
+
+    /// Whether ZCC slot `slot` is marked non-zero, and its rank: the
+    /// number of marked slots below it, which is its place in the value
+    /// field.
+    #[inline]
+    fn zcc_rank(bitvec: u128, slot: usize) -> (bool, usize) {
+        let below = bitvec & ((1u128 << slot) - 1);
+        ((bitvec >> slot) & 1 == 1, below.count_ones() as usize)
+    }
+
+    /// The increments that change the packed fields in place; `None` for
+    /// every other case, which [`MorphLine::increment`] hands to the
+    /// unpacked rules. The in-place cases are the ones whose outcome is
+    /// `Ok` with only the written counter changing:
+    /// - a 3-bit Uniform or MCR minor below 7;
+    /// - a marked ZCC slot whose value stays below `2^width`;
+    /// - a newly marked ZCC slot whose population keeps its width: its
+    ///   bit is set, the values above its rank move up one field, and it
+    ///   gets a value of 1.
+    #[inline]
+    fn increment_in_place(&mut self, slot: usize) -> Option<IncrementOutcome> {
+        let head = self.head();
+        if format_of(head) != MorphFormat::Zcc {
+            let bit = codec::minor_bit(slot);
+            let minor = load_field(&self.image, bit, codec::MINOR_BITS);
+            if minor >= MINOR3_MAX {
+                return None;
+            }
+            store_field(&mut self.image, bit, codec::MINOR_BITS, minor + 1);
+            return Some(IncrementOutcome::Ok);
+        }
+        let width = ctr_sz(head) as u32;
+        let bitvec = self.bitvec();
+        let (marked, rank) = Self::zcc_rank(bitvec, slot);
+        let bit = codec::VALUES_BIT + rank * width as usize;
+        if marked {
+            let value = load_field(&self.image, bit, width) + 1;
+            if value >= 1 << width {
+                return None;
+            }
+            store_field(&mut self.image, bit, width, value);
+        } else {
+            if zcc_width(bitvec.count_ones() as usize + 1) != Some(width) {
+                return None;
+            }
+            let bitvec = bitvec | (1 << slot);
+            self.image[codec::BITVEC_BYTES].copy_from_slice(&bitvec.to_le_bytes());
+            self.open_value_field(rank * width as usize, width);
+            store_field(&mut self.image, bit, width, 1);
+        }
+        Some(IncrementOutcome::Ok)
+    }
+
+    /// Moves the ZCC value-field bits from bit `at` (relative to the
+    /// field) up by `width`, opening a field there. The field holds at
+    /// most `256 / width - 1` values before the move, so no value bit
+    /// leaves it.
+    fn open_value_field(&mut self, at: usize, width: u32) {
+        let range = codec::VALUES_BIT / 8..codec::MAC_BYTE;
+        let mut halves = [0u128; 2];
+        for (half, bytes) in halves.iter_mut().zip(self.image[range.clone()].chunks_exact(16)) {
+            let mut le = [0u8; 16];
+            le.copy_from_slice(bytes);
+            *half = u128::from_le_bytes(le);
+        }
+        let [lo, hi] = halves;
+        let shifted = [lo << width, (hi << width) | (lo >> (128 - width))];
+        let keep = if at < 128 {
+            [low_mask128(at), 0]
+        } else {
+            [u128::MAX, low_mask128(at - 128)]
+        };
+        for ((bytes, old), (new, keep)) in
+            self.image[range].chunks_exact_mut(16).zip(halves).zip(shifted.into_iter().zip(keep))
+        {
+            bytes.copy_from_slice(&((old & keep) | (new & !keep)).to_le_bytes());
+        }
+    }
+
+    /// Applies the increment rules to the unpacked line and packs the
+    /// result back, keeping the MAC field.
+    #[cold]
+    fn increment_unpacked(&mut self, slot: usize) -> IncrementOutcome {
+        let mut line = codec::unpack(self.mode, &self.image);
+        let outcome = line.increment(slot);
+        let body = codec::pack(&line);
+        self.image[..codec::MAC_BYTE].copy_from_slice(&body[..codec::MAC_BYTE]);
+        outcome
+    }
+}
+
+/// The storage format named by an image's first word.
+#[inline]
+fn format_of(head: u64) -> MorphFormat {
+    if head & 1 == 1 {
+        MorphFormat::Mcr
+    } else if ctr_sz(head) == codec::UNIFORM_CTR_SZ {
+        MorphFormat::Uniform
+    } else {
+        MorphFormat::Zcc
+    }
+}
+
+/// The `ctr-sz` field of an image's first word (ZCC and Uniform).
+#[inline]
+fn ctr_sz(head: u64) -> u64 {
+    (head >> codec::CTR_SZ_BIT) & low_mask(codec::CTR_SZ_BITS)
+}
+
+/// The low `bits` bits of a `u128` set (`bits < 128`).
+fn low_mask128(bits: usize) -> u128 {
+    (1u128 << bits) - 1
+}
+
+impl CounterLine for MorphLine {
+    fn arity(&self) -> usize {
+        MORPH_ARITY
+    }
+
+    fn get(&self, slot: usize) -> u64 {
+        assert!(slot < MORPH_ARITY, "slot {slot} out of range");
+        let head = self.head();
+        match format_of(head) {
+            MorphFormat::Zcc => {
+                let major = head >> codec::ZCC_MAJOR_BIT;
+                let (marked, rank) = Self::zcc_rank(self.bitvec(), slot);
+                if !marked {
+                    return major;
+                }
+                let width = ctr_sz(head) as u32;
+                major + load_field(&self.image, codec::VALUES_BIT + rank * width as usize, width)
+            }
+            format => {
+                let minor = load_field(&self.image, codec::minor_bit(slot), codec::MINOR_BITS);
+                if format == MorphFormat::Uniform {
+                    return (head >> codec::ZCC_MAJOR_BIT) + minor;
+                }
+                // `(major ‖ base) + minor`; bases are 7 bits so the
+                // concatenation equals addition.
+                let major = (head >> codec::MCR_MAJOR_BIT) & low_mask(MCR_MAJOR_BITS);
+                let base = (head >> codec::MCR_BASE_BIT[slot / MCR_SET]) & BASE_MAX;
+                (major << MCR_BASE_BITS) + base + minor
+            }
+        }
+    }
+
+    fn increment(&mut self, slot: usize) -> IncrementOutcome {
+        assert!(slot < MORPH_ARITY, "slot {slot} out of range");
+        match self.increment_in_place(slot) {
+            Some(outcome) => outcome,
+            None => self.increment_unpacked(slot),
+        }
+    }
+
+    fn used_counters(&self) -> usize {
+        if self.format() == MorphFormat::Zcc {
+            return self.bitvec().count_ones() as usize;
+        }
+        (0..MORPH_ARITY)
+            .filter(|&slot| load_field(&self.image, codec::minor_bit(slot), codec::MINOR_BITS) != 0)
+            .count()
+    }
+
+    fn mac(&self) -> u64 {
+        load_field(&self.image, codec::MAC_OFFSET, LINE_MAC_BITS as u32)
+    }
+
+    fn set_mac(&mut self, mac: u64) {
+        store_field(&mut self.image, codec::MAC_OFFSET, LINE_MAC_BITS as u32, mac);
+    }
+
+    fn encode(&self) -> LineImage {
+        self.image
+    }
+
+    fn encode_for_mac(&self) -> LineImage {
+        let mut body = self.image;
+        body[codec::MAC_BYTE..].fill(0);
+        body
+    }
+}
+
+/// A morphable line unpacked into its fields, on the stack: the form the
+/// increment rules of §III-B and §IV are written in. Increments that
+/// rewidth, morph, rebase, reset or overflow a line run here, between a
+/// [`codec::unpack`] and a [`codec::pack`].
+#[derive(Debug)]
+pub(super) struct Unpacked {
+    mode: MorphMode,
+    format: MorphFormat,
+    /// 57-bit quantity in ZCC/Uniform; 49-bit in MCR.
+    major: u64,
+    /// Per-set bases, only meaningful in MCR format.
+    bases: [u64; 2],
+    /// The 128 minor counters (≤ 16 bits each).
+    values: [u16; MORPH_ARITY],
+}
+
+impl Unpacked {
+    /// A fresh all-zero line in ZCC format.
+    fn new(mode: MorphMode) -> Self {
+        Unpacked {
+            mode,
+            format: MorphFormat::Zcc,
+            major: 0,
+            bases: [0; 2],
+            values: [0; MORPH_ARITY],
         }
     }
 
@@ -398,50 +625,13 @@ impl MorphLine {
             kind: OverflowKind::SetReset,
         })
     }
-}
-
-impl CounterLine for MorphLine {
-    fn arity(&self) -> usize {
-        MORPH_ARITY
-    }
-
-    fn get(&self, slot: usize) -> u64 {
-        let minor = self.values[slot] as u64;
-        match self.format {
-            MorphFormat::Zcc | MorphFormat::Uniform => self.major + minor,
-            // `(major ‖ base) + minor`; bases are 7 bits so the
-            // concatenation equals addition.
-            MorphFormat::Mcr => (self.major << MCR_BASE_BITS) + self.bases[slot / MCR_SET] + minor,
-        }
-    }
 
     fn increment(&mut self, slot: usize) -> IncrementOutcome {
-        assert!(slot < MORPH_ARITY, "slot {slot} out of range");
         match self.format {
             MorphFormat::Zcc => self.increment_zcc(slot),
             MorphFormat::Uniform => self.increment_uniform(slot),
             MorphFormat::Mcr => self.increment_mcr(slot),
         }
-    }
-
-    fn used_counters(&self) -> usize {
-        self.nonzero()
-    }
-
-    fn mac(&self) -> u64 {
-        self.mac
-    }
-
-    fn set_mac(&mut self, mac: u64) {
-        self.mac = mac;
-    }
-
-    fn encode(&self) -> LineImage {
-        codec::encode(self, true)
-    }
-
-    fn encode_for_mac(&self) -> LineImage {
-        codec::encode(self, false)
     }
 }
 

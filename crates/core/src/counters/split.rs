@@ -7,13 +7,16 @@
 //! incremented and **all** minors reset, changing every child's effective
 //! value — which costs `n` re-encryptions (§II-A2).
 
-use super::bits::{BitReader, BitWriter};
+use super::bits::{load_field, store_field};
 use super::{
     CounterLine, IncrementOutcome, LineImage, OverflowEvent, OverflowKind, ReencryptSpan,
 };
-use crate::{CACHELINE_BITS, LINE_MAC_BITS};
+use crate::{CACHELINE_BITS, CACHELINE_BYTES, LINE_MAC_BITS};
 
 const MAC_OFFSET: usize = CACHELINE_BITS - LINE_MAC_BITS;
+
+/// First byte of the MAC field.
+const MAC_BYTE: usize = MAC_OFFSET / 8;
 
 /// Static shape of a split-counter line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,26 +40,30 @@ impl SplitConfig {
     /// # Panics
     ///
     /// Panics if the arity is not one of 8, 16, 32, 64, 128.
+    #[inline]
     #[must_use]
     pub fn with_arity(arity: usize) -> Self {
-        match arity {
-            8 => SplitConfig { arity: 8, minor_bits: 56, major_bits: 0 },
-            16 | 32 | 64 | 128 => SplitConfig {
-                arity,
-                minor_bits: (384 / arity) as u32,
-                major_bits: 64,
-            },
+        let minor_bits = match arity {
+            8 => return SplitConfig { arity: 8, minor_bits: 56, major_bits: 0 },
+            16 => 24,
+            32 => 12,
+            64 => 6,
+            128 => 3,
             _ => panic!("unsupported split-counter arity {arity}"),
-        }
+        };
+        SplitConfig { arity, minor_bits, major_bits: 64 }
     }
 
-    /// Total bits used by the layout; must fit a 512-bit line.
-    fn layout_bits(&self) -> usize {
-        self.major_bits as usize + self.arity * self.minor_bits as usize + LINE_MAC_BITS
+    /// Bit offset of minor `slot`.
+    #[inline]
+    fn minor_bit(&self, slot: usize) -> usize {
+        self.major_bits as usize + slot * self.minor_bits as usize
     }
 }
 
-/// A split-counter cacheline.
+/// A split-counter cacheline, kept as its 64-byte image: the major, the
+/// minors and the MAC are fields of it, and the layout follows from the
+/// arity ([`SplitConfig::with_arity`]).
 ///
 /// # Example
 ///
@@ -71,12 +78,11 @@ impl SplitConfig {
 /// }
 /// assert!(matches!(line.increment(0), IncrementOutcome::Overflow(_)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitLine {
-    config: SplitConfig,
-    major: u64,
-    minors: Vec<u64>,
-    mac: u64,
+    /// Counters per line; at most 128, so it fits a byte.
+    arity: u8,
+    image: LineImage,
 }
 
 impl SplitLine {
@@ -84,86 +90,75 @@ impl SplitLine {
     ///
     /// # Panics
     ///
-    /// Panics if the configured layout does not fit in a 512-bit line.
+    /// Panics unless `config` is the canonical organization of its arity
+    /// ([`SplitConfig::with_arity`]).
     #[must_use]
     pub fn new(config: SplitConfig) -> Self {
-        assert!(
-            config.layout_bits() <= CACHELINE_BITS,
-            "split layout {:?} needs {} bits > {}",
+        assert_eq!(
             config,
-            config.layout_bits(),
-            CACHELINE_BITS
+            SplitConfig::with_arity(config.arity),
+            "split layout {config:?} is not the canonical one for its arity"
         );
-        assert!(config.arity >= 1);
-        assert!(config.minor_bits >= 1 && config.minor_bits <= 56);
-        SplitLine {
-            config,
-            major: 0,
-            minors: vec![0; config.arity],
-            mac: 0,
-        }
+        SplitLine { arity: config.arity as u8, image: [0; CACHELINE_BYTES] }
     }
 
     /// The line's configuration.
+    #[inline]
     #[must_use]
     pub fn config(&self) -> SplitConfig {
-        self.config
+        SplitConfig::with_arity(usize::from(self.arity))
     }
 
     /// The shared major counter value.
     #[must_use]
     pub fn major(&self) -> u64 {
-        self.major
+        load_field(&self.image, 0, self.config().major_bits)
     }
 
-    fn minor_max(&self) -> u64 {
-        (1u64 << self.config.minor_bits) - 1
-    }
-
-    /// Decodes a line from its 64-byte image. Every bit of a split layout
-    /// is a field, so any image decodes.
+    /// Decodes a line from its 64-byte image: a copy, since every bit of
+    /// a split layout is a field and so any image decodes.
     #[must_use]
     pub fn decode(config: SplitConfig, image: &LineImage) -> Self {
-        let mut line = SplitLine::new(config);
-        let mut r = BitReader::new(image);
-        line.major = r.read(config.major_bits);
-        r.read_all(config.minor_bits, &mut line.minors);
-        r.seek(MAC_OFFSET);
-        line.mac = r.read(LINE_MAC_BITS as u32);
-        line
+        SplitLine { image: *image, ..SplitLine::new(config) }
     }
 
-    /// The major and minors written in layout order (no MAC).
-    fn encode_body(&self) -> BitWriter {
-        let mut w = BitWriter::new();
-        w.write(self.config.major_bits, self.major);
-        w.write_all(self.config.minor_bits, &self.minors);
-        w
+    /// Minor `slot`.
+    fn minor(&self, config: SplitConfig, slot: usize) -> u64 {
+        load_field(&self.image, config.minor_bit(slot), config.minor_bits)
     }
 }
 
 impl CounterLine for SplitLine {
     fn arity(&self) -> usize {
-        self.config.arity
+        usize::from(self.arity)
     }
 
     fn get(&self, slot: usize) -> u64 {
+        let config = self.config();
+        assert!(slot < config.arity, "slot {slot} out of range");
         // Effective counter = major ‖ minor (concatenation, Fig 3).
-        (self.major << self.config.minor_bits) | self.minors[slot]
+        (self.major() << config.minor_bits) | self.minor(config, slot)
     }
 
     fn increment(&mut self, slot: usize) -> IncrementOutcome {
-        if self.minors[slot] < self.minor_max() {
-            self.minors[slot] += 1;
+        let config = self.config();
+        assert!(slot < config.arity, "slot {slot} out of range");
+        let minor = self.minor(config, slot);
+        if minor < (1 << config.minor_bits) - 1 {
+            store_field(&mut self.image, config.minor_bit(slot), config.minor_bits, minor + 1);
             return IncrementOutcome::Ok;
         }
         // Minor wrap: bump the major, reset all minors (§II-A2). The slot
         // being written restarts at 1 (its new data is encrypted under
         // `major+1 ‖ 1`, strictly greater than anything issued before).
+        // The SGX layout has no major: its 56-bit counters do not wrap in
+        // practice, and one that did could not advance.
+        assert!(config.major_bits > 0, "a {}-bit counter wrapped", config.minor_bits);
         let used = self.used_counters();
-        self.major += 1;
-        self.minors.fill(0);
-        self.minors[slot] = 1;
+        let major = self.major() + 1;
+        self.image[..MAC_BYTE].fill(0);
+        store_field(&mut self.image, 0, config.major_bits, major);
+        store_field(&mut self.image, config.minor_bit(slot), config.minor_bits, 1);
         IncrementOutcome::Overflow(OverflowEvent {
             span: ReencryptSpan::All,
             used_counters: used,
@@ -172,26 +167,26 @@ impl CounterLine for SplitLine {
     }
 
     fn used_counters(&self) -> usize {
-        self.minors.iter().filter(|&&m| m != 0).count()
+        let config = self.config();
+        (0..config.arity).filter(|&slot| self.minor(config, slot) != 0).count()
     }
 
     fn mac(&self) -> u64 {
-        self.mac
+        load_field(&self.image, MAC_OFFSET, LINE_MAC_BITS as u32)
     }
 
     fn set_mac(&mut self, mac: u64) {
-        self.mac = mac;
+        store_field(&mut self.image, MAC_OFFSET, LINE_MAC_BITS as u32, mac);
     }
 
     fn encode(&self) -> LineImage {
-        let mut w = self.encode_body();
-        w.skip_to(MAC_OFFSET);
-        w.write(LINE_MAC_BITS as u32, self.mac);
-        w.finish()
+        self.image
     }
 
     fn encode_for_mac(&self) -> LineImage {
-        self.encode_body().finish()
+        let mut body = self.image;
+        body[MAC_BYTE..].fill(0);
+        body
     }
 }
 
@@ -204,7 +199,8 @@ mod tests {
     fn canonical_shapes_fit_a_cacheline() {
         for arity in [8usize, 16, 32, 64, 128] {
             let cfg = SplitConfig::with_arity(arity);
-            assert!(cfg.layout_bits() <= CACHELINE_BITS, "arity {arity}");
+            let bits = cfg.major_bits as usize + arity * cfg.minor_bits as usize + LINE_MAC_BITS;
+            assert!(bits <= CACHELINE_BITS, "arity {arity}");
         }
         assert_eq!(SplitConfig::with_arity(64).minor_bits, 6);
         assert_eq!(SplitConfig::with_arity(128).minor_bits, 3);

@@ -318,7 +318,7 @@ impl SecureMemory {
         // when the increment overflows; upper levels re-MAC their children
         // from the new counters and need no copy.
         let line = self.tree.line_or_new(level, line_idx);
-        let before = (level == 0).then(|| line.clone());
+        let before = (level == 0).then_some(*line);
         let outcome = line.increment(slot);
         // Nothing below changes this line's body: overflow repairs touch
         // its children, the bump above touches its parent, and a parent

@@ -529,7 +529,7 @@ impl ShardLog {
         }
         for &(level, line_idx) in &self.pending_counters {
             if let Some(line) = live.tree().line(level, line_idx) {
-                self.sealed.tree_mut().insert(level, line_idx, line.clone());
+                self.sealed.tree_mut().insert(level, line_idx, *line);
             }
         }
         self.sealed.set_reencryptions(live.reencryptions());
@@ -711,8 +711,30 @@ impl EpochShardedMemory {
     /// [`ShardedMemory::run_batch`]), journaling every shard's mutations
     /// as one committed WAL transaction per dirtied shard — but *without*
     /// recombining the cross-shard top root: that happens once per epoch,
-    /// at the cut. Auto-cuts when the epoch threshold is reached.
+    /// at the cut. The batch is split at epoch boundaries, so a cut
+    /// falls every `epoch_ops` ops however long the batch is, and no
+    /// epoch leaves more than `epoch_ops` ops per shard to replay.
     pub fn run_batch(&mut self, ops: &[Op], threads: usize) -> Vec<OpOutcome> {
+        let mut outcomes = Vec::with_capacity(ops.len());
+        let mut rest = ops;
+        loop {
+            let room = match self.epoch_ops {
+                0 => rest.len(),
+                epoch_ops => usize::try_from(epoch_ops.saturating_sub(self.ops_in_epoch))
+                    .unwrap_or(usize::MAX),
+            };
+            let (chunk, tail) = rest.split_at(room.min(rest.len()));
+            outcomes.extend(self.run_chunk(chunk, threads));
+            rest = tail;
+            if rest.is_empty() {
+                return outcomes;
+            }
+        }
+    }
+
+    /// Runs and journals one chunk of a batch that stays within the open
+    /// epoch, cutting when the chunk fills it.
+    fn run_chunk(&mut self, ops: &[Op], threads: usize) -> Vec<OpOutcome> {
         let outcomes = self.live.run_batch_deferred(ops, threads);
         let mut journals = Vec::with_capacity(self.logs.len());
         for s in 0..self.logs.len() {
@@ -1553,5 +1575,23 @@ mod tests {
         }
         assert_eq!(mem.epoch(), 3, "24 ops at 8 per epoch is 3 cuts");
         assert_eq!(mem.ops_in_epoch(), 0);
+    }
+
+    #[test]
+    fn one_long_batch_is_cut_at_every_epoch_boundary() {
+        let mut mem =
+            EpochShardedMemory::new(TreeConfig::morphtree(), MIB, KEY, 2, 500).unwrap();
+        let lines = mem.plan().data_lines();
+        let ops: Vec<Op> = (0..5_000u64)
+            .map(|i| Op::Write { line: (i * 7) % lines, data: [i as u8; CACHELINE_BYTES] })
+            .collect();
+        let outcomes = mem.run_batch(&ops, 2);
+        assert_eq!(outcomes.len(), ops.len());
+        assert!(outcomes.iter().all(|outcome| *outcome == OpOutcome::Written));
+        assert_eq!(mem.epoch(), 10, "5,000 ops at 500 per epoch is 10 cuts");
+        assert_eq!(mem.ops_in_epoch(), 0);
+        // A batch that ends mid-epoch leaves the rest open.
+        mem.run_batch(&ops[..750], 2);
+        assert_eq!((mem.epoch(), mem.ops_in_epoch()), (11, 250));
     }
 }

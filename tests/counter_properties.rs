@@ -96,7 +96,7 @@ proptest! {
         let decoded = MorphLine::decode(mode, &line.encode()).unwrap();
         prop_assert_eq!(&decoded, &line);
         // And the decoded line behaves identically.
-        let mut a = line.clone();
+        let mut a = line;
         let mut b = decoded;
         for slot in [0usize, 64, 127] {
             prop_assert_eq!(a.increment(slot), b.increment(slot));
