@@ -10,20 +10,21 @@
 //! - `attack` — seeded fault-injection campaign against the functional
 //!   model: randomized tamper/replay/splice attacks on every tree config,
 //!   asserting 100% detection at the right tree location;
-//! - `snapshot` — write a populated secure memory to a checksummed
-//!   snapshot file (`--out`, `--shards N` for a sharded `MTSH` container),
-//!   or recover one and re-verify every MAC bottom-up (`--verify`; sharded
-//!   images are verified per shard and the first failing shard is named);
+//! - `snapshot` — write a populated secure memory of `--shards N`
+//!   (default 1) to a checksummed snapshot file (`--out`: one shard is a
+//!   plain `MTSN`, more an `MTSH` container), or recover one and re-verify
+//!   every MAC bottom-up (`--verify`; each shard is verified and the first
+//!   failing shard is named);
 //! - `recover` — rebuild a memory from durable state with work bounded by
-//!   the open epoch: `--snapshot FILE [--wal FILE]` for a single memory,
-//!   `--state PREFIX` for a sharded container plus per-shard WALs (as
-//!   written by `serve --epoch-ops ... --state-out PREFIX`), reporting
-//!   per-shard recovery modes and quarantining — not dying on — bad
-//!   shards;
+//!   the open epoch: `--state PREFIX` for an image plus per-shard WALs (as
+//!   written by `serve --epoch-ops ... --state-out PREFIX`), or its
+//!   one-shard form `--snapshot FILE [--wal FILE]`, reporting per-shard
+//!   recovery modes and quarantining — not dying on — bad shards;
 //! - `prove` — emit a compact verifiable integrity proof for a set of
 //!   data lines from a snapshot (`--lines 0,5,9 --out PROOF`), optionally
-//!   publishing the checksummed root artifact (`--root-out`); sharded
-//!   `MTSH` images compose per-shard sub-proofs under the folded top;
+//!   publishing the checksummed root artifact (`--root-out`); an image of
+//!   two or more shards composes per-shard sub-proofs under the folded
+//!   top;
 //! - `verify-proof` — check a proof against a published root (`--root
 //!   HEX` or `--root-file`) with **no access to the memory image**; any
 //!   tamper of proof or root exits with the integrity code;
@@ -65,7 +66,8 @@ use std::fmt::Write as _;
 
 use morphtree_core::attack::{campaign_configs, run_campaign, CampaignConfig};
 use morphtree_core::obs::MetricsRegistry;
-use morphtree_core::proof::{AnyProof, ProofStats};
+use morphtree_core::persist::MAX_MEMORY_BYTES;
+use morphtree_core::proof::{verify_proof, ProofStats};
 use morphtree_core::tree::{TreeConfig, TreeGeometry};
 use morphtree_sim::system::{simulate, simulate_nonsecure, SimConfig};
 use morphtree_trace::catalog::{Benchmark, MIXES};
@@ -194,6 +196,25 @@ impl Flags {
                 .map_err(|_| err(format!("--{key} expects a number, got `{raw}`"))),
         }
     }
+
+    /// A protected-memory size flag in units of `1 << shift` bytes
+    /// (`--memory-kib` is 10, `--memory-mib` 20), with a default.
+    ///
+    /// # Errors
+    ///
+    /// Errors if present but unparsable, zero, or larger than the snapshot
+    /// formats accept ([`MAX_MEMORY_BYTES`], 1 TiB) — a bound that also
+    /// keeps the shift from overflowing.
+    pub fn memory_bytes_or(&self, key: &str, shift: u32, default: u64) -> Result<u64, CliError> {
+        let units = self.number_or(key, default)?;
+        let max_units = MAX_MEMORY_BYTES >> shift;
+        if units == 0 || units > max_units {
+            return Err(err(format!(
+                "--{key} must be between 1 and {max_units} (1 TiB), got {units}"
+            )));
+        }
+        Ok(units << shift)
+    }
 }
 
 /// Resolves a tree configuration by CLI name.
@@ -233,7 +254,7 @@ pub fn usage() -> String {
      \x20 sweep     [--figure all|NAME[,NAME...]] [--threads 0=auto] [--scale 16]\n\
      \x20           [--seed 42] [--warmup 4000000] [--instructions 2000000]\n\
      \x20           [--metrics FILE] [--reports 1] [--snapshot FILE] [--resume FILE]\n\
-     \x20 snapshot  --out FILE | --verify FILE [--config morph] [--shards 0]\n\
+     \x20 snapshot  --out FILE | --verify FILE [--config morph] [--shards 1]\n\
      \x20           [--memory-kib 1024] [--lines 64] [--seed 42]\n\
      \x20 recover   --snapshot FILE [--wal FILE] | --state PREFIX\n\
      \x20 prove     --snapshot FILE --lines 0,5,9 --out PROOF\n\
@@ -586,7 +607,6 @@ fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
 
 fn cmd_snapshot(flags: &Flags) -> Result<String, CliError> {
     use morphtree_core::concurrent::{Op, ShardedMemory};
-    use morphtree_core::functional::SecureMemory;
     use morphtree_core::persist;
 
     let tree = tree_by_name(flags.get_or("config", "morph"))?;
@@ -596,82 +616,53 @@ fn cmd_snapshot(flags: &Flags) -> Result<String, CliError> {
             Err(err("snapshot needs --out FILE (write one) or --verify FILE (recover + check)"))
         }
         (Some(path), None) => {
-            let memory_bytes = flags.number_or("memory-kib", 1024)?.max(1) << 10;
+            let memory_bytes = flags.memory_bytes_or("memory-kib", 10, 1024)?;
             let seed = flags.number_or("seed", 42)?;
-            let shards = flags.number_or("shards", 0)? as usize;
+            let shards = flags.number_or("shards", 1)? as usize;
             let mut key = [0u8; 16];
             key[..8].copy_from_slice(&seed.to_le_bytes());
-            if shards > 0 {
-                // Sharded image: populate through the engine so each shard's
-                // subtree carries real written state, then save as MTSH.
-                let mut memory = ShardedMemory::new(tree, memory_bytes, key, shards)
-                    .map_err(|e| err(format!("cannot shard {shards} ways: {e}")))?;
-                let lines = flags.number_or("lines", 64)?.min(memory.plan().data_lines());
-                let ops: Vec<Op> = (0..lines)
-                    .map(|line| Op::Write {
-                        line,
-                        data: [(line as u8).wrapping_mul(37) ^ 0x6d; 64],
-                    })
-                    .collect();
-                memory.run_batch(&ops, 1);
-                let bytes = persist::save_sharded(&memory);
-                std::fs::write(path, &bytes)
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-                return Ok(format!(
-                    "sharded snapshot of {} over {} ({shards} shard(s), {lines} populated \
-                     line(s)) written to {path} ({} bytes)\n",
-                    memory.shard(0).config().name(),
-                    human(memory_bytes),
-                    bytes.len(),
-                ));
-            }
-            let mut memory = SecureMemory::new(tree, memory_bytes, key);
-            let lines = flags.number_or("lines", 64)?.min(memory.geometry().data_lines());
-            for line in 0..lines {
-                memory.write(line, &[(line as u8).wrapping_mul(37) ^ 0x6d; 64]);
-            }
-            let bytes = persist::save_memory(&memory);
+            // Populate through the engine so each shard's subtree carries
+            // real written state; one shard saves as a plain `MTSN`.
+            let mut memory = ShardedMemory::new(tree, memory_bytes, key, shards)
+                .map_err(|e| err(format!("cannot shard {shards} ways: {e}")))?;
+            let lines = flags.number_or("lines", 64)?.min(memory.plan().data_lines());
+            let ops: Vec<Op> = (0..lines)
+                .map(|line| Op::Write {
+                    line,
+                    data: [(line as u8).wrapping_mul(37) ^ 0x6d; 64],
+                })
+                .collect();
+            memory.run_batch(&ops, 1);
+            let bytes = persist::save_sharded(&memory);
             std::fs::write(path, &bytes)
                 .map_err(|e| err(format!("cannot write {path}: {e}")))?;
             Ok(format!(
-                "snapshot of {} over {} ({lines} populated line(s), {} tree levels) \
-                 written to {path} ({} bytes)\n",
-                memory.config().name(),
+                "sharded snapshot of {} over {} ({shards} shard(s), {lines} populated \
+                 line(s), {} tree levels per shard) written to {path} ({} bytes)\n",
+                memory.shard(0).config().name(),
                 human(memory_bytes),
-                memory.geometry().top_level() + 1,
+                memory.shard(0).geometry().top_level() + 1,
                 bytes.len(),
             ))
         }
         (None, Some(path)) => {
             let bytes =
                 std::fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-            if persist::SHARDED.matches(&bytes) {
-                return verify_sharded_image(path, &bytes);
-            }
-            // An empty log holds no seal and nothing to replay: this is a
-            // pure load + bottom-up re-verification of every stored MAC.
-            let (memory, _) = persist::recover_bounded(&bytes, &[])
-                .map_err(|e| integrity_err(format!("{path}: snapshot failed verification: {e}")))?;
-            Ok(format!(
-                "{path}: snapshot verified — {} over {}, {} data line(s), every \
-                 counter level and data MAC re-checked\n",
-                memory.config().name(),
-                human(memory.geometry().memory_bytes()),
-                memory.geometry().data_lines(),
-            ))
+            verify_image(path, &bytes)
         }
     }
 }
 
-/// Verifies an `MTSH` container shard by shard, rendering one line per
-/// shard (geometry, root, status). Any failing shard makes the whole
-/// command fail, naming the first bad shard — after the full table, so a
-/// degraded image is still fully diagnosed.
-fn verify_sharded_image(path: &str, bytes: &[u8]) -> Result<String, CliError> {
+/// Verifies a snapshot image shard by shard (a plain `MTSN` is one
+/// shard), rendering one line per shard (geometry, root, status). Any
+/// failing shard makes the whole command fail, naming the first bad
+/// shard — after the full table, so a degraded image is still fully
+/// diagnosed.
+fn verify_image(path: &str, bytes: &[u8]) -> Result<String, CliError> {
     use morphtree_core::persist;
 
     let reports = persist::verify_shards(bytes)
-        .map_err(|e| integrity_err(format!("{path}: container failed verification: {e}")))?;
+        .map_err(|e| integrity_err(format!("{path}: snapshot failed verification: {e}")))?;
     let mut out = format!("{path}: sharded image, {} shard(s)\n", reports.len());
     let mut first_bad = None;
     for report in &reports {
@@ -700,8 +691,15 @@ fn verify_sharded_image(path: &str, bytes: &[u8]) -> Result<String, CliError> {
     }
     match first_bad {
         None => {
-            writeln!(out, "{path}: sharded snapshot verified — every shard checked bottom-up")
-                .expect("write to string");
+            let memory_bytes: u64 = reports.iter().map(|r| r.memory_bytes).sum();
+            writeln!(
+                out,
+                "{path}: sharded snapshot verified — {} over {}, every shard's counter \
+                 levels and data MACs re-checked bottom-up",
+                reports[0].config,
+                human(memory_bytes),
+            )
+            .expect("write to string");
             Ok(out)
         }
         Some(shard) => Err(integrity_err(format!(
@@ -714,53 +712,28 @@ fn cmd_recover(flags: &Flags) -> Result<String, CliError> {
     use morphtree_core::persist;
     use std::time::Instant;
 
-    match (flags.get("state"), flags.get("snapshot")) {
-        (Some(_), Some(_)) => Err(err("--state and --snapshot are mutually exclusive")),
-        (None, None) => Err(err(
-            "recover needs --snapshot FILE [--wal FILE] (single memory) or --state PREFIX \
-             (sharded container + per-shard WALs)",
-        )),
+    let read =
+        |path: &str| std::fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")));
+    let (label, image_path, image, wals) = match (flags.get("state"), flags.get("snapshot")) {
+        (Some(_), Some(_)) => return Err(err("--state and --snapshot are mutually exclusive")),
+        (None, None) => {
+            return Err(err(
+                "recover needs --snapshot FILE [--wal FILE] (one shard) or --state PREFIX \
+                 (an image + per-shard WALs)",
+            ))
+        }
+        // The one-shard form of `--state`: one image, at most one WAL.
         (None, Some(path)) => {
-            let snapshot =
-                std::fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-            let wal = match flags.get("wal") {
-                Some(p) => std::fs::read(p).map_err(|e| err(format!("cannot read {p}: {e}")))?,
-                None => Vec::new(),
-            };
-            let started = Instant::now();
-            let (memory, stats) = persist::recover_bounded(&snapshot, &wal)
-                .map_err(|e| integrity_err(format!("{path}: recovery failed: {e}")))?;
-            let elapsed = started.elapsed();
-            let mut out = format!(
-                "{path}: recovered {} over {} in {:.1}ms\n",
-                memory.config().name(),
-                human(memory.geometry().memory_bytes()),
-                elapsed.as_secs_f64() * 1e3,
-            );
-            writeln!(
-                out,
-                "  mode {} | epoch {} | {} txn(s), {} record(s) replayed | {} line(s) verified{}",
-                stats.mode,
-                stats.sealed_epoch,
-                stats.replayed_txns,
-                stats.replayed_records,
-                stats.verified_lines,
-                if stats.seal_fallback { " | SEAL UNUSABLE — full verification forced" } else { "" },
-            )
-            .expect("write to string");
-            Ok(out)
+            let image = read(path)?;
+            let wals = flags.get("wal").map(read).transpose()?.into_iter().collect();
+            (path, path.to_owned(), image, wals)
         }
         (Some(prefix), None) => {
-            let container_path = format!("{prefix}.mtsh");
-            let container = std::fs::read(&container_path)
-                .map_err(|e| err(format!("cannot read {container_path}: {e}")))?;
+            let image_path = format!("{prefix}.mtsh");
+            let image = read(&image_path)?;
             let mut wals = Vec::new();
-            loop {
-                let wal_path = format!("{prefix}.shard{}.wal", wals.len());
-                match std::fs::read(&wal_path) {
-                    Ok(bytes) => wals.push(bytes),
-                    Err(_) => break,
-                }
+            while let Ok(bytes) = std::fs::read(format!("{prefix}.shard{}.wal", wals.len())) {
+                wals.push(bytes);
             }
             if wals.is_empty() {
                 return Err(err(format!(
@@ -768,48 +741,63 @@ fn cmd_recover(flags: &Flags) -> Result<String, CliError> {
                      with `serve --epoch-ops ... --state-out {prefix}`?"
                 )));
             }
-            let started = Instant::now();
-            let rec = persist::recover_sharded_bounded(&container, &wals)
-                .map_err(|e| integrity_err(format!("{container_path}: recovery failed: {e}")))?;
-            let elapsed = started.elapsed();
-            let mut out = format!(
-                "{prefix}: recovered {} shard(s) in {:.1}ms — resolved epoch {}{}\n",
-                rec.shards.len(),
-                elapsed.as_secs_f64() * 1e3,
-                rec.resolved_epoch,
-                if rec.mid_cut { " (crash landed mid-cut; resolved to last consistent epoch)" } else { "" },
-            );
-            let mut quarantined = Vec::new();
-            for shard_rec in &rec.shards {
-                match &shard_rec.outcome {
-                    Ok(stats) => writeln!(
-                        out,
-                        "  shard {:<3} mode {:<14} epoch {} | {} txn(s) replayed | {} line(s) verified",
-                        shard_rec.shard,
-                        stats.mode.to_string(),
-                        stats.sealed_epoch,
-                        stats.replayed_txns,
-                        stats.verified_lines,
-                    )
-                    .expect("write to string"),
-                    Err(e) => {
-                        writeln!(out, "  shard {:<3} QUARANTINED: {e}", shard_rec.shard)
-                            .expect("write to string");
-                        quarantined.push(shard_rec.shard.to_string());
-                    }
-                }
-            }
-            if quarantined.is_empty() {
-                writeln!(out, "all shards healthy; state is serving").expect("write to string");
-                Ok(out)
-            } else {
-                Err(integrity_err(format!(
-                    "{out}degraded: shard(s) {} quarantined — healthy shards serve, \
-                     quarantined shards refuse",
-                    quarantined.join(", "),
-                )))
+            (prefix, image_path, image, wals)
+        }
+    };
+    let started = Instant::now();
+    let rec = persist::recover_sharded_bounded(&image, &wals).map_err(|e| match e {
+        // A log count the image does not match is a flag mistake, not a
+        // verdict on the bytes.
+        persist::RecoveryError::ShardWalCount { .. } => err(format!("{image_path}: {e}")),
+        e => integrity_err(format!("{image_path}: recovery failed: {e}")),
+    })?;
+    let elapsed = started.elapsed();
+    let mut out = format!(
+        "{label}: recovered {} over {} in {:.1}ms\n  \
+         recovered {} shard(s) — resolved epoch {}{}\n",
+        rec.memory.shard(0).config().name(),
+        human(rec.memory.plan().memory_bytes()),
+        elapsed.as_secs_f64() * 1e3,
+        rec.shards.len(),
+        rec.resolved_epoch,
+        if rec.mid_cut { " (crash landed mid-cut; resolved to last consistent epoch)" } else { "" },
+    );
+    let mut quarantined = Vec::new();
+    for shard_rec in &rec.shards {
+        match &shard_rec.outcome {
+            Ok(stats) => writeln!(
+                out,
+                "  shard {:<3} mode {:<14} epoch {} | {} txn(s), {} record(s) replayed | \
+                 {} line(s) verified{}",
+                shard_rec.shard,
+                stats.mode.to_string(),
+                stats.sealed_epoch,
+                stats.replayed_txns,
+                stats.replayed_records,
+                stats.verified_lines,
+                if stats.seal_fallback {
+                    " | SEAL UNUSABLE — full verification forced"
+                } else {
+                    ""
+                },
+            )
+            .expect("write to string"),
+            Err(e) => {
+                writeln!(out, "  shard {:<3} QUARANTINED: {e}", shard_rec.shard)
+                    .expect("write to string");
+                quarantined.push(shard_rec.shard.to_string());
             }
         }
+    }
+    if quarantined.is_empty() {
+        writeln!(out, "all shards healthy; state is serving").expect("write to string");
+        Ok(out)
+    } else {
+        Err(integrity_err(format!(
+            "{out}degraded: shard(s) {} quarantined — healthy shards serve, \
+             quarantined shards refuse",
+            quarantined.join(", "),
+        )))
     }
 }
 
@@ -856,23 +844,13 @@ fn cmd_prove(flags: &Flags) -> Result<String, CliError> {
     // Recovery failures are integrity verdicts (the snapshot's checksums
     // or MACs are wrong); a bad line request against a healthy image is a
     // usage error. Both are distinguishable from unreadable files.
-    let (proof, root) = if persist::SHARDED.matches(&bytes) {
-        let mut memory = persist::recover_sharded_bounded::<&[u8]>(&bytes, &[])
-            .and_then(persist::ShardedRecovery::into_memory)
-            .map_err(|e| integrity_err(format!("{snapshot_path}: snapshot failed: {e}")))?;
-        let root = memory.combined_root();
-        let proof = memory
-            .prove(&lines)
-            .map_err(|e| err(format!("{snapshot_path}: cannot prove: {e}")))?;
-        (AnyProof::Sharded(proof), root)
-    } else {
-        let (memory, _) = persist::recover_bounded(&bytes, &[])
-            .map_err(|e| integrity_err(format!("{snapshot_path}: snapshot failed: {e}")))?;
-        let proof = memory
-            .prove(&lines)
-            .map_err(|e| err(format!("{snapshot_path}: cannot prove: {e}")))?;
-        (AnyProof::Serial(proof), memory.root_digest())
-    };
+    let mut memory = persist::recover_sharded_bounded::<&[u8]>(&bytes, &[])
+        .and_then(persist::ShardedRecovery::into_memory)
+        .map_err(|e| integrity_err(format!("{snapshot_path}: snapshot failed: {e}")))?;
+    let root = memory.combined_root();
+    let proof = memory
+        .prove(&lines)
+        .map_err(|e| err(format!("{snapshot_path}: cannot prove: {e}")))?;
 
     let encoded = proof.encode();
     std::fs::write(out_path, &encoded)
@@ -884,29 +862,33 @@ fn cmd_prove(flags: &Flags) -> Result<String, CliError> {
 
     // Self-check the freshly minted proof so a prove run can never emit
     // bytes the standalone verifier would reject.
-    let stats = morphtree_core::proof::verify_any_proof(&proof, root)
+    let stats = verify_proof(&proof, root)
         .map_err(|e| integrity_err(format!("freshly built proof failed self-check: {e}")))?;
     if let Some(path) = flags.get("metrics") {
         proof_metrics(path, encoded.len(), &stats)?;
     }
-
-    let shard_note = match &proof {
-        AnyProof::Serial(_) => String::new(),
-        AnyProof::Sharded(_) => format!(", {} shard sub-proof(s)", stats.shards),
-    };
     Ok(format!(
-        "proof over {} data line(s) ({} counter node(s){shard_note}) written to \
+        "proof over {} data line(s) ({} counter node(s){}) written to \
          {out_path} ({} bytes)\n  root {root:#018x}{}\n",
         stats.data_lines,
         stats.nodes,
+        shard_note(&stats),
         encoded.len(),
         flags.get("root-out").map_or(String::new(), |p| format!(" published to {p}")),
     ))
 }
 
+/// How many per-shard proofs a proof folds (nothing for one shard).
+fn shard_note(stats: &ProofStats) -> String {
+    match stats.shards {
+        0 => String::new(),
+        n => format!(", {n} shard sub-proof(s)"),
+    }
+}
+
 fn cmd_verify_proof(flags: &Flags) -> Result<String, CliError> {
     use morphtree_core::persist;
-    use morphtree_core::proof::{decode_proof, verify_any_proof};
+    use morphtree_core::proof::decode_proof;
 
     let proof_path = flags.required("proof")?;
     let root = match (flags.get("root"), flags.get("root-file")) {
@@ -930,19 +912,18 @@ fn cmd_verify_proof(flags: &Flags) -> Result<String, CliError> {
     // does not parse is indistinguishable from a tampered one.
     let proof = decode_proof(&encoded)
         .map_err(|e| integrity_err(format!("{proof_path}: proof rejected: {e}")))?;
-    let stats = verify_any_proof(&proof, root)
+    let stats = verify_proof(&proof, root)
         .map_err(|e| integrity_err(format!("{proof_path}: proof rejected: {e}")))?;
     if let Some(path) = flags.get("metrics") {
         proof_metrics(path, encoded.len(), &stats)?;
     }
-    let shard_note = match stats.shards {
-        0 => String::new(),
-        n => format!(", {n} shard sub-proof(s)"),
-    };
     Ok(format!(
         "{proof_path}: proof verified against root {root:#018x} — {} data line(s), \
-         {} counter node(s){shard_note}, {} MAC(s) recomputed, no memory image consulted\n",
-        stats.data_lines, stats.nodes, stats.mac_computes,
+         {} counter node(s){}, {} MAC(s) recomputed, no memory image consulted\n",
+        stats.data_lines,
+        stats.nodes,
+        shard_note(&stats),
+        stats.mac_computes,
     ))
 }
 
@@ -957,7 +938,7 @@ fn cmd_crash_campaign(flags: &Flags) -> Result<String, CliError> {
         epoch_ops: flags.number_or("epoch-ops", 64)?,
         batches: flags.number_or("batches", 12)? as usize,
         batch_ops: flags.number_or("batch-ops", 32)? as usize,
-        memory_bytes: flags.number_or("memory-kib", 1024)? << 10,
+        memory_bytes: flags.memory_bytes_or("memory-kib", 10, 1024)?,
         hot_lines: flags.number_or("hot-lines", 192)?,
     };
     let tree = tree_by_name(flags.get_or("config", "morph"))?;
@@ -987,7 +968,7 @@ fn cmd_attack(flags: &Flags) -> Result<String, CliError> {
     let campaign = CampaignConfig {
         seed: flags.number_or("seed", 42)?,
         count: flags.number_or("count", 100)? as usize,
-        memory_bytes: flags.number_or("memory-kib", 1024)? << 10,
+        memory_bytes: flags.memory_bytes_or("memory-kib", 10, 1024)?,
         working_lines: flags.number_or("lines", 96)?,
     };
     if campaign.count == 0 {
@@ -1110,6 +1091,45 @@ mod tests {
     fn numbers_accept_underscores() {
         let flags = Flags::parse(&strs(&["--n", "1_000_000"])).unwrap();
         assert_eq!(flags.number_or("n", 0).unwrap(), 1_000_000);
+    }
+
+    /// Every command that takes a memory size, run with `value` as that
+    /// size: each must refuse it as a usage error (exit 1) before doing
+    /// any work, and `snapshot` must write nothing.
+    fn assert_memory_size_refused(value: &str) {
+        let path = std::env::temp_dir().join(format!("morphtree-cli-size-{value}.mtsn"));
+        let path_str = path.to_str().unwrap().to_owned();
+        let runs = [
+            ("snapshot", strs(&["--out", &path_str, "--memory-kib", value])),
+            ("attack", strs(&["--memory-kib", value])),
+            ("crash-campaign", strs(&["--memory-kib", value])),
+            ("serve", strs(&["--memory-mib", value])),
+        ];
+        for (command, args) in runs {
+            let e = run(command, &args).unwrap_err();
+            assert_eq!(e.exit_code(), 1, "{command}: {}", e.0);
+            assert!(e.0.contains("must be between 1 and"), "{command}: {}", e.0);
+        }
+        assert!(!path.exists(), "a refused size must write no snapshot");
+    }
+
+    #[test]
+    fn memory_size_that_overflows_is_a_usage_error() {
+        // 2^54 KiB is 2^64 bytes, which an unchecked shift wraps to zero.
+        assert_memory_size_refused("18014398509481984");
+    }
+
+    #[test]
+    fn zero_memory_size_is_a_usage_error() {
+        assert_memory_size_refused("0");
+    }
+
+    #[test]
+    fn memory_size_above_the_format_bound_is_a_usage_error() {
+        // 2 TiB as KiB, twice what a snapshot may declare.
+        assert_memory_size_refused("2147483648");
+        let flags = Flags::parse(&strs(&["--memory-kib", "1073741824"])).unwrap();
+        assert_eq!(flags.memory_bytes_or("memory-kib", 10, 1).unwrap(), persist::MAX_MEMORY_BYTES);
     }
 
     #[test]
@@ -1307,6 +1327,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert!(e.0.contains("shard 1   QUARANTINED"), "{}", e.0);
         assert!(e.0.contains("shard(s) 1 quarantined"), "{}", e.0);
+    }
+
+    #[test]
+    fn recover_with_the_wrong_wal_count_is_a_usage_error() {
+        let dir = std::env::temp_dir().join("morphtree-cli-recover-walcount");
+        std::fs::create_dir_all(&dir).unwrap();
+        let image = dir.join("two.mtsh").to_str().unwrap().to_owned();
+        let wal = dir.join("one.wal").to_str().unwrap().to_owned();
+        run("snapshot", &strs(&["--out", &image, "--memory-kib", "256", "--shards", "2"]))
+            .unwrap();
+        std::fs::write(&wal, []).unwrap();
+        let e = run("recover", &strs(&["--snapshot", &image, "--wal", &wal])).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(e.kind(), ErrorKind::Usage, "{}", e.0);
+        assert!(e.0.contains("needs 2 per-shard WALs, got 1"), "{}", e.0);
     }
 
     #[test]

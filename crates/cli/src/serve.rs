@@ -16,7 +16,8 @@
 //! crash costs at most one epoch of replay. Epoch mode always ends with a
 //! recovery drill (recover the durable state, compare it to the live
 //! engine), and `--state-out PREFIX` persists that state as
-//! `PREFIX.mtsh` + `PREFIX.shard<K>.wal` for `morphtree recover`.
+//! `PREFIX.mtsh` + `PREFIX.shard<K>.wal` for `morphtree recover` (with
+//! one shard, `PREFIX.mtsh` holds that shard's plain `MTSN` snapshot).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -86,7 +87,7 @@ fn parse_params(flags: &Flags) -> Result<ServeParams, CliError> {
         shards,
         ops_total: flags.number_or("ops", 100_000)? as usize,
         batch: flags.number_or("batch", 8192)?.max(1) as usize,
-        memory_bytes: flags.number_or("memory-mib", 256)?.max(1) << 20,
+        memory_bytes: flags.memory_bytes_or("memory-mib", 20, 256)?,
         hot_lines: flags.number_or("hot-lines", 8192)?.max(1),
         write_pct: flags.number_or("write-pct", 80)?.min(100),
         seed: flags.number_or("seed", 42)?,

@@ -208,8 +208,12 @@ fn apply_queue<'a>(
 /// Derives the per-shard encryption/MAC seed from the tenant key: the high
 /// key half is XORed with the 1-based shard id, so shards never share OTP
 /// or MAC streams even for identical plaintexts at identical local
-/// addresses.
-fn shard_key(key: [u8; 16], shard: usize) -> [u8; 16] {
+/// addresses. The lone shard of a one-shard plan keeps the tenant key: a
+/// single memory is the one-shard case.
+fn shard_key(plan: &ShardPlan, key: [u8; 16], shard: usize) -> [u8; 16] {
+    if plan.shards() == 1 {
+        return key;
+    }
     let mut derived = key;
     let id = (shard as u64 + 1).to_le_bytes();
     for (byte, id_byte) in derived[8..16].iter_mut().zip(id) {
@@ -229,12 +233,16 @@ fn top_key(key: [u8; 16]) -> MacKey {
 /// Folds a vector of per-shard root digests into the combined top MAC
 /// under the tenant's domain-separated top key: a keyed MAC chain over the
 /// digest vector (eight digests per 64-byte block, each block MACed with
-/// the running value as its counter).
+/// the running value as its counter). One digest folds to itself, so a
+/// one-shard memory's combined root is its shard's root digest.
 ///
 /// Exposed `pub(crate)` so the epoch persistence layer can compute the
 /// combined root a *partially completed* epoch cut would have pinned,
 /// without mutating any engine state.
 pub(crate) fn fold_digests(key: [u8; 16], digests: &[u64]) -> u64 {
+    if let [root] = digests {
+        return *root;
+    }
     let top = top_key(key);
     let mut acc = 0u64;
     for (block_idx, chunk) in digests.chunks(8).enumerate() {
@@ -249,7 +257,9 @@ pub(crate) fn fold_digests(key: [u8; 16], digests: &[u64]) -> u64 {
 
 /// A sharded functional secure memory: `shards` independent
 /// [`SecureMemory`] subtrees over contiguous address ranges, recombined
-/// under one keyed top MAC.
+/// under one keyed top MAC. One shard is a single memory: its shard keeps
+/// the tenant key, its combined root is the shard's root digest, and it
+/// saves, proves and recovers as a [`SecureMemory`] does.
 ///
 /// See the [module docs](crate::concurrent) for the architecture. The
 /// invariant the test suites pin: for a fixed request sequence, the final
@@ -283,24 +293,17 @@ impl ShardedMemory {
         shards: usize,
     ) -> Result<Self, ShardError> {
         let plan = ShardPlan::new(memory_bytes, shards)?;
-        let shards: Vec<SecureMemory> = (0..plan.shards())
-            .map(|s| SecureMemory::new(config.clone(), plan.shard_memory_bytes(s), shard_key(key, s)))
+        let shards = (0..plan.shards())
+            .map(|s| {
+                let key = shard_key(&plan, key, s);
+                SecureMemory::new(config.clone(), plan.shard_memory_bytes(s), key)
+            })
             .collect();
-        let mut this = ShardedMemory {
-            plan,
-            key,
-            digests: shards.iter().map(SecureMemory::root_digest).collect(),
-            dirty: vec![false; shards.len()],
-            shards,
-            combined_root: 0,
-            recombines: 0,
-        };
-        this.fold_top();
-        this.recombines = 0; // construction does not count as a recombine
-        Ok(this)
+        Ok(ShardedMemory::from_parts(plan, key, shards))
     }
 
-    /// Rebuilds a sharded memory from recovered parts (persistence layer).
+    /// Assembles a sharded memory from its shards (construction, and the
+    /// persistence layer's recovered parts).
     pub(crate) fn from_parts(plan: ShardPlan, key: [u8; 16], shards: Vec<SecureMemory>) -> Self {
         let mut this = ShardedMemory {
             plan,
@@ -312,7 +315,7 @@ impl ShardedMemory {
             recombines: 0,
         };
         this.fold_top();
-        this.recombines = 0;
+        this.recombines = 0; // construction does not count as a recombine
         this
     }
 
@@ -322,10 +325,10 @@ impl ShardedMemory {
         self.key
     }
 
-    /// The expected derived key of `shard` (recovery cross-checks each
-    /// restored shard snapshot against this).
-    pub(crate) fn derived_key(key: [u8; 16], shard: usize) -> [u8; 16] {
-        shard_key(key, shard)
+    /// The expected derived key of `shard` under `plan` (recovery
+    /// cross-checks each restored shard snapshot against this).
+    pub(crate) fn derived_key(plan: &ShardPlan, key: [u8; 16], shard: usize) -> [u8; 16] {
+        shard_key(plan, key, shard)
     }
 
     /// The shard partition in use.

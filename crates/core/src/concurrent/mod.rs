@@ -18,7 +18,8 @@
 //!   keyed root MAC. Recombination is *coalesced*, in the spirit of
 //!   Freij et al.'s streamed integrity-tree updates: a batch only
 //!   recomputes the digests of the shards it dirtied, and the top MAC is
-//!   refolded from the cached digests;
+//!   refolded from the cached digests. A one-shard plan is a single
+//!   memory: its shard keeps the tenant key and its top is the identity;
 //! - the batched front-end routes each request to its shard's FIFO queue
 //!   (mirroring the per-bank FR-FCFS queues of the DRAM controller in
 //!   `morphtree-sim`) and `N` workers drain disjoint shard sets in

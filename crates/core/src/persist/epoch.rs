@@ -1070,10 +1070,11 @@ impl ShardedRecovery {
 /// One shard's recovery, or the typed failure that quarantines it.
 pub(crate) type ShardOutcome = Result<(SecureMemory, RecoveryStats), RecoveryError>;
 
-/// Parses an `MTSH` container and recovers its shards one by one, in
-/// order, as the returned iterator is driven: [`recover_bounded`] on the
-/// shard's section and WAL, then the check that the shard's geometry and
-/// key are the ones the header's partition and tenant key derive
+/// Parses a sharded image (an `MTSH` container, or an `MTSN` snapshot as
+/// its one shard) and recovers its shards one by one, in order, as the
+/// returned iterator is driven: [`recover_bounded`] on the shard's section
+/// and WAL, then the check that the shard's geometry and key are the ones
+/// the header's partition and tenant key derive
 /// ([`RecoveryError::ShardMismatch`] otherwise). An empty `wals` slice
 /// stands for an empty log on every shard.
 ///
@@ -1093,7 +1094,7 @@ pub(crate) fn recover_shards<'a, W: AsRef<[u8]>>(
         let wal = wals.get(shard).map_or(&[][..], AsRef::as_ref);
         let (mem, stats) = recover_bounded(section, wal)?;
         if mem.geometry().memory_bytes() != plan.shard_memory_bytes(shard)
-            || mem.key() != ShardedMemory::derived_key(key, shard)
+            || mem.key() != ShardedMemory::derived_key(&plan, key, shard)
         {
             return Err(RecoveryError::ShardMismatch { shard });
         }
@@ -1102,11 +1103,14 @@ pub(crate) fn recover_shards<'a, W: AsRef<[u8]>>(
     Ok((plan, key, outcomes))
 }
 
-/// Rebuilds a sharded memory from an `MTSH` container plus one WAL per
-/// shard (or none: an empty `wals` slice is an empty log on every shard),
-/// doing per-shard work bounded by each shard's open epoch — and
-/// degrading, not dying, when a shard fails: the bad shard is quarantined
-/// (empty placeholder, reads/writes refuse) while the rest serve.
+/// Rebuilds a sharded memory from its image plus one WAL per shard (or
+/// none: an empty `wals` slice is an empty log on every shard). The image
+/// is an `MTSH` container, or an `MTSN` snapshot, which recovers as a
+/// one-shard memory: `recover_sharded_bounded(snapshot, &[wal])` does the
+/// work of [`recover_bounded`]`(snapshot, wal)`. Per-shard work is
+/// bounded by each shard's open epoch, and recovery degrades rather than
+/// dies when a shard fails: the bad shard is quarantined (empty
+/// placeholder, reads/writes refuse) while the rest serve.
 /// [`ShardedRecovery::into_memory`] is the strict form.
 ///
 /// # Errors
@@ -1158,7 +1162,7 @@ pub fn recover_sharded_bounded<W: AsRef<[u8]>>(
                 SecureMemory::new(
                     config.clone(),
                     plan.shard_memory_bytes(s),
-                    ShardedMemory::derived_key(key, s),
+                    ShardedMemory::derived_key(&plan, key, s),
                 )
             })
         })

@@ -15,8 +15,12 @@
 //! rebuilds the state from `snapshot + any WAL prefix` — then proves the
 //! result before handing it back. A sharded image has the same pair per
 //! shard: [`EpochShardedMemory`] writes it and [`recover_sharded_bounded`]
-//! reads it. [`recover`] is the full-replay reference the crash tests
-//! hold bounded recovery to; production code does not call it.
+//! reads it. A single memory is the one-shard case: its image is its
+//! `MTSN` snapshot, which [`recover_sharded_bounded`] and
+//! [`verify_shards`] read as a one-shard container, so production code
+//! reads every image through them. [`recover`] is the full-replay
+//! reference the crash tests hold bounded recovery to; production code
+//! does not call it.
 //!
 //! # Format overview
 //!
@@ -79,7 +83,7 @@ pub use wal::{replay, replay_epochs, SealPoint, WalEpochs, WalRecord, WalTransac
 /// Snapshot file magic (`MTSN` = MorphTree SNapshot).
 pub const MAGIC: [u8; 4] = *b"MTSN";
 /// Sharded-snapshot container magic (`MTSH` = MorphTree SHards): a header
-/// plus one embedded [`MAGIC`] snapshot per shard.
+/// plus one embedded [`MAGIC`] snapshot per shard, for two or more shards.
 pub const MAGIC_SHARDED: [u8; 4] = *b"MTSH";
 /// Published-root file magic (`MTRT` = MorphTree RooT): the tiny
 /// checksummed artifact [`save_root`] writes alongside a snapshot so a
@@ -89,8 +93,8 @@ pub const MAGIC_ROOT: [u8; 4] = *b"MTRT";
 pub const VERSION: u32 = 1;
 
 const SNAPSHOT: Header = Header::new(MAGIC, VERSION);
-/// The `MTSH` container's header; [`Header::matches`] tells a sharded
-/// image from a plain one.
+/// The `MTSH` container's header: the image of two or more shards (one
+/// shard's image is its `MTSN`).
 pub const SHARDED: Header = Header::new(MAGIC_SHARDED, VERSION);
 const ROOT: Header = Header::new(MAGIC_ROOT, VERSION);
 
@@ -405,26 +409,24 @@ pub fn save_memory(mem: &SecureMemory) -> Vec<u8> {
     out
 }
 
-/// Deserializes a [`save_memory`] snapshot.
-///
-/// Restores state verbatim *without* verifying it; [`recover_bounded`]
-/// layers WAL replay and verification on top.
-///
-/// # Errors
-///
-/// Returns a [`RecoveryError`] describing the first problem found: bad
-/// magic or version, truncation, checksum mismatch, structural corruption
-/// (including indices that do not strictly ascend within a section),
-/// out-of-range indices, or undecodable counter images.
-pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
-    let mut r = ByteReader::new(bytes);
-    SNAPSHOT.read(&mut r)?;
+/// The `CONFIG` and `STATE` sections that open an `MTSN` snapshot.
+struct SnapshotHead {
+    config: TreeConfig,
+    memory_bytes: u64,
+    key: [u8; 16],
+    reencryptions: u64,
+}
 
-    let mut sec = read_section(&mut r, SEC_CONFIG)?;
+/// Reads an `MTSN` header and its `CONFIG` and `STATE` sections,
+/// refusing a declared size no geometry can have.
+fn read_head(r: &mut ByteReader<'_>) -> Result<SnapshotHead, RecoveryError> {
+    SNAPSHOT.read(r)?;
+
+    let mut sec = read_section(r, SEC_CONFIG)?;
     let config = read_config(&mut sec)?;
     expect_exhausted(&sec)?;
 
-    let mut sec = read_section(&mut r, SEC_STATE)?;
+    let mut sec = read_section(r, SEC_STATE)?;
     let size_offset = sec.offset();
     let memory_bytes = sec.u64()?;
     let key: [u8; 16] = sec
@@ -439,9 +441,25 @@ pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
     {
         return Err(RecoveryError::CorruptSnapshot { offset: size_offset });
     }
+    Ok(SnapshotHead { config, memory_bytes, key, reencryptions })
+}
 
-    let mut mem = SecureMemory::new(config, memory_bytes, key);
-    mem.set_reencryptions(reencryptions);
+/// Deserializes a [`save_memory`] snapshot.
+///
+/// Restores state verbatim *without* verifying it; [`recover_bounded`]
+/// layers WAL replay and verification on top.
+///
+/// # Errors
+///
+/// Returns a [`RecoveryError`] describing the first problem found: bad
+/// magic or version, truncation, checksum mismatch, structural corruption
+/// (including indices that do not strictly ascend within a section),
+/// out-of-range indices, or undecodable counter images.
+pub fn load_memory(bytes: &[u8]) -> Result<SecureMemory, RecoveryError> {
+    let mut r = ByteReader::new(bytes);
+    let head = read_head(&mut r)?;
+    let mut mem = SecureMemory::new(head.config, head.memory_bytes, head.key);
+    mem.set_reencryptions(head.reencryptions);
 
     let mut sec = read_section(&mut r, SEC_DATA)?;
     let count = sec.count_u64(8 + CACHELINE_BYTES)?;
@@ -540,9 +558,10 @@ pub(crate) fn apply_wal_txn(
     Ok(())
 }
 
-/// Serializes a sharded memory as an `MTSH` container: a checksummed
-/// header (partition geometry + tenant key) followed by one full
-/// [`save_memory`] snapshot per shard.
+/// Serializes a sharded memory: a one-shard memory as its shard's
+/// [`save_memory`] snapshot, any other as an `MTSH` container, a
+/// checksummed header (partition geometry + tenant key) followed by one
+/// full [`save_memory`] snapshot per shard.
 ///
 /// Like [`save_memory`], the output is a pure function of state: equal
 /// sharded memories serialize byte-identically.
@@ -552,13 +571,18 @@ pub fn save_sharded(memory: &ShardedMemory) -> Vec<u8> {
     write_sharded(memory.plan(), memory.tenant_key(), shards)
 }
 
-/// The one `MTSH` writer: the header section (partition geometry and
-/// tenant key), then one [`save_memory`] section per shard, in order.
+/// The one sharded-image writer: a lone shard's `MTSN`, or the `MTSH`
+/// header section (partition geometry and tenant key) followed by one
+/// [`save_memory`] section per shard, in order.
 pub(crate) fn write_sharded<'a>(
     plan: &ShardPlan,
     tenant_key: [u8; 16],
     shards: impl IntoIterator<Item = &'a SecureMemory>,
 ) -> Vec<u8> {
+    let shards: Vec<&SecureMemory> = shards.into_iter().collect();
+    if let [only] = shards[..] {
+        return save_memory(only);
+    }
     let mut out = Vec::new();
     SHARDED.write(&mut out);
     let mut w = ByteWriter::new();
@@ -572,15 +596,23 @@ pub(crate) fn write_sharded<'a>(
     out
 }
 
-/// Parsed `MTSH` framing: partition plan, tenant key, and the raw
+/// Parsed sharded-image framing: partition plan, tenant key, and the raw
 /// per-shard snapshot payloads (not yet decoded).
 pub(crate) type ParsedShards<'a> = (ShardPlan, [u8; 16], Vec<&'a [u8]>);
 
-/// Parses an `MTSH` container's framing: validates the header and section
-/// checksums and returns the partition plan, tenant key, and the raw
-/// per-shard snapshot payloads (not yet decoded).
+/// Parses a sharded image's framing and returns the partition plan,
+/// tenant key, and the raw per-shard snapshot payloads (not yet decoded).
+/// An `MTSN` snapshot is the one-shard image: its own geometry and key
+/// are the plan's and the tenant's. An `MTSH` container has its header
+/// and section checksums validated, and must hold two or more shards (one
+/// shard has one encoding, its `MTSN`).
 pub(crate) fn parse_sharded(bytes: &[u8]) -> Result<ParsedShards<'_>, RecoveryError> {
     let mut r = ByteReader::new(bytes);
+    if SNAPSHOT.matches(bytes) {
+        let head = read_head(&mut r)?;
+        let plan = ShardPlan::new(head.memory_bytes, 1).map_err(RecoveryError::ShardPlan)?;
+        return Ok((plan, head.key, vec![bytes]));
+    }
     SHARDED.read(&mut r)?;
 
     let mut sec = read_section(&mut r, SEC_SHARD_HEADER)?;
@@ -599,6 +631,9 @@ pub(crate) fn parse_sharded(bytes: &[u8]) -> Result<ParsedShards<'_>, RecoveryEr
     // Each shard is a section of at least its 20 framing bytes.
     let shard_count =
         codec::bound_count(u64::from(shard_count), 4 + 8 + 8, r.remaining(), count_offset)?;
+    if shard_count == 1 {
+        return Err(RecoveryError::CorruptSnapshot { offset: count_offset });
+    }
     let plan = ShardPlan::new(memory_bytes, shard_count).map_err(RecoveryError::ShardPlan)?;
 
     let mut sections = Vec::with_capacity(plan.shards());
@@ -621,13 +656,16 @@ pub struct ShardVerifyReport {
     pub memory_bytes: u64,
     /// Tree levels in the shard's geometry (0 when the shard failed).
     pub levels: usize,
+    /// The shard's tree configuration name (empty when the shard failed).
+    pub config: String,
     /// The restored subtree's root digest when the shard loaded, passed
     /// full bottom-up verification and matched the header's partition;
     /// the typed failure otherwise.
     pub status: Result<u64, RecoveryError>,
 }
 
-/// Verifies every shard of an `MTSH` container independently, reporting
+/// Verifies every shard of a sharded image (an `MTSH` container, or an
+/// `MTSN` snapshot as its one shard) independently, reporting
 /// per-shard results instead of stopping at the first failure. Each shard
 /// takes the same step as in [`recover_sharded_bounded`] with an empty
 /// log; unlike it, a container whose every shard fails still yields the
@@ -646,6 +684,9 @@ pub fn verify_shards(bytes: &[u8]) -> Result<Vec<ShardVerifyReport>, RecoveryErr
             shard,
             memory_bytes: plan.shard_memory_bytes(shard),
             levels: outcome.as_ref().map_or(0, |(mem, _)| mem.geometry().levels().len()),
+            config: outcome
+                .as_ref()
+                .map_or_else(|_| String::new(), |(mem, _)| mem.config().name().to_owned()),
             status: outcome.map(|(mem, _)| mem.root_digest()),
         })
         .collect();
@@ -976,9 +1017,11 @@ mod tests {
         let snap = save_sharded(&memory);
 
         assert_eq!(recover_container(b"nope").unwrap_err(), RecoveryError::BadMagic);
-        // A plain MTSN snapshot is not a sharded container.
+        // A plain MTSN snapshot is the one-shard image.
         let plain = save_memory(memory.shard(0));
-        assert_eq!(recover_container(&plain).unwrap_err(), RecoveryError::BadMagic);
+        let one = recover_container(&plain).unwrap();
+        assert_eq!(one.plan().shards(), 1);
+        assert_eq!(save_sharded(&one), plain);
 
         // Truncation anywhere is typed, never a panic.
         for cut in (0..snap.len()).step_by(7) {

@@ -1,21 +1,22 @@
-//! Verifiable integrity proofs: the authenticated read API (ISSUE 9).
+//! Verifiable integrity proofs: the authenticated read API.
 //!
 //! The functional tree detects tampering *internally* — [`SecureMemory::read`]
 //! walks the counter chain it holds. This module turns that walk into an
-//! artifact: [`SecureMemory::prove`] emits a compact, versioned,
-//! varint-framed [`Proof`] carrying, for each requested data line, the
-//! ciphertext + data MAC plus the deduplicated counter-line chain up to the
-//! on-chip root, and a standalone [`verify_proof`] checks it against a
-//! *published root* with no access to the memory image at all — the same
-//! boundary-checkable framing SecDDR uses, and the varint-framed proof
-//! encoding grovedb's Merk proofs use.
+//! artifact: [`SecureMemory::prove`] and [`ShardedMemory::prove`] emit a
+//! compact, versioned, varint-framed [`Proof`] carrying, for each requested
+//! data line, the ciphertext + data MAC plus the deduplicated counter-line
+//! chain up to the on-chip root, and a standalone [`verify_proof`] checks
+//! it against a *published root* with no access to the memory image at
+//! all — the same boundary-checkable framing SecDDR uses, and the
+//! varint-framed proof encoding grovedb's Merk proofs use.
 //!
 //! # Proof contents and trust chain
 //!
-//! A serial proof contains:
+//! A proof is made of subtree proofs, one per shard that owns a proven
+//! line. A subtree proof contains:
 //!
-//! - a header: format version, the tree configuration, the protected memory
-//!   size, and the construction key (a *model* concession — the snapshot
+//! - a header: the tree configuration, the subtree's protected memory
+//!   size, and its construction key (a *model* concession — the snapshot
 //!   formats already externalize the key as the stand-in for the SoC's
 //!   sealed state; see [`crate::persist`]);
 //! - one entry per proven data line (sorted, deduplicated): line index,
@@ -33,11 +34,10 @@
 //! decoded counter (top keyed 0) and every data MAC under the level-0
 //! decoded counters through the functional plane's batched MAC runner
 //! (one [`MacKey::mac_lines_into`](morphtree_crypto::MacKey::mac_lines_into)
-//! call per chunk), and checks that the top entry hashes to the published
-//! root (the same FNV digest as
-//! [`SecureMemory::root_digest`]). The chain is closed: the root binds the
-//! top body, each body keys its children's MACs, and the level-0 bodies
-//! key the data MACs.
+//! call per chunk), and checks that the top entry hashes to the subtree's
+//! root (the same FNV digest as [`SecureMemory::root_digest`]). The chain
+//! is closed: the root binds the top body, each body keys its children's
+//! MACs, and the level-0 bodies key the data MACs.
 //!
 //! Multi-line proofs share upper-tree nodes — one copy per `(level, line)`
 //! — so proof size grows sub-linearly in the line count, and *shrinks*
@@ -45,12 +45,12 @@
 //! baseline for the same memory, the paper-unevaluated result the
 //! `proof_roundtrip` integration test pins byte for byte.
 //!
-//! [`ShardedMemory::prove`] composes per-shard sub-proofs under the
-//! coalesced top: a [`ShardedProof`] carries the full per-shard digest
-//! vector (bound to the published combined root by
-//! [`crate::concurrent`]'s `fold_digests` chain) plus one embedded
-//! [`Proof`] per shard that owns a proven line, each verified against its
-//! own digest-vector entry.
+//! A single memory is the one-shard case: its proof is its one subtree
+//! proof, checked against the published root directly. A proof over two
+//! or more shards also carries the full per-shard digest vector, bound to
+//! the published combined root by [`crate::concurrent`]'s `fold_digests`
+//! chain, and checks each subtree proof against its own digest-vector
+//! entry.
 //!
 //! # Framing
 //!
@@ -84,9 +84,9 @@ use crate::CACHELINE_BYTES;
 /// Proof file header (`MTPR` = MorphTree PRoof), with a one-byte version.
 pub const HEADER: Header = Header::narrow(*b"MTPR", 1);
 
-/// Header kind byte: a serial (single-subtree) proof.
-const KIND_SERIAL: u8 = 1;
-/// Header kind byte: a sharded (composed) proof.
+/// Header kind byte: a one-shard proof, which is its one subtree proof.
+const KIND_ONE_SHARD: u8 = 1;
+/// Header kind byte: a proof over two or more shards.
 const KIND_SHARDED: u8 = 2;
 
 /// Why a proof could not be produced, decoded, or verified.
@@ -104,7 +104,7 @@ pub enum ProofError {
         /// The version the file declares.
         version: u8,
     },
-    /// The header kind byte is neither serial nor sharded.
+    /// The header kind byte is neither one-shard nor sharded.
     UnknownKind {
         /// The kind byte the file declares.
         kind: u8,
@@ -210,7 +210,8 @@ pub enum ProofError {
         computed: u64,
     },
     /// The sharded header's partition is impossible (zero shards, more
-    /// shards than lines).
+    /// shards than lines) or is one shard, whose one encoding is the
+    /// one-shard kind.
     BadShardPlan {
         /// The declared shard count.
         shards: u64,
@@ -333,33 +334,32 @@ impl Error for ProofError {
 
 /// One proven data line: its off-chip ciphertext and stored MAC.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProofData {
-    /// Data line index within the proof's geometry.
-    pub line: u64,
+struct ProofData {
+    /// Data line index within the subtree's geometry.
+    line: u64,
     /// The stored 64-byte ciphertext.
-    pub ciphertext: [u8; CACHELINE_BYTES],
+    ciphertext: [u8; CACHELINE_BYTES],
     /// The stored data MAC.
-    pub mac: u64,
+    mac: u64,
 }
 
 /// One covering counter node: its MAC-input image and stored MAC.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProofNode {
+struct ProofNode {
     /// Tree level (0 = encryption counters, `top_level` = on-chip root).
-    pub level: usize,
+    level: usize,
     /// Line index within the level.
-    pub line_idx: u64,
+    line_idx: u64,
     /// The 64-byte `encode_for_mac` image (MAC field zeroed).
-    pub body: [u8; CACHELINE_BYTES],
+    body: [u8; CACHELINE_BYTES],
     /// The stored counter-line MAC (0-keyed for the top line).
-    pub mac: u64,
+    mac: u64,
 }
 
-/// A self-contained integrity proof for a set of data lines of one
-/// [`SecureMemory`] subtree, checkable against a published root with no
-/// memory image (see the [module docs](self)).
+/// One subtree's part of a proof: the lines of one [`SecureMemory`] and
+/// their counter chain, in that subtree's own coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Proof {
+struct Subtree {
     config: TreeConfig,
     memory_bytes: u64,
     key: [u8; 16],
@@ -369,26 +369,20 @@ pub struct Proof {
     nodes: Vec<ProofNode>,
 }
 
-/// A composed proof over a [`ShardedMemory`]: the full per-shard digest
-/// vector (bound to the published combined root by the `fold_digests`
-/// chain) plus one embedded [`Proof`] per shard owning a proven line.
+/// A self-contained integrity proof for a set of data lines of a single
+/// or sharded memory, checkable against a published root with no memory
+/// image (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedProof {
+pub struct Proof {
+    /// The tenant key (a one-shard proof's is its subtree's).
     key: [u8; 16],
+    /// Protected bytes across every shard.
     memory_bytes: u64,
-    /// Per-shard root digests, one per shard of the partition.
+    /// Every shard's root digest, folded to the published root; empty for
+    /// one shard, whose fold is the identity.
     digests: Vec<u64>,
-    /// `(shard index, sub-proof)`, strictly ascending by shard.
-    subs: Vec<(usize, Proof)>,
-}
-
-/// A decoded proof of either kind (the CLI auto-detects from the header).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AnyProof {
-    /// A serial single-subtree proof.
-    Serial(Proof),
-    /// A sharded composed proof.
-    Sharded(ShardedProof),
+    /// `(shard index, subtree proof)`, strictly ascending by shard.
+    subs: Vec<(usize, Subtree)>,
 }
 
 /// Deterministic size/coverage facts about a verified proof, for the
@@ -401,7 +395,8 @@ pub struct ProofStats {
     pub nodes: u64,
     /// MAC recomputations verification performed.
     pub mac_computes: u64,
-    /// Sub-proofs in a sharded proof (0 for a serial proof).
+    /// Subtree proofs folded under a proof of two or more shards (0 for a
+    /// one-shard proof).
     pub shards: u64,
 }
 
@@ -504,6 +499,11 @@ impl SecureMemory {
     /// outside the geometry, or names a line that was never written
     /// (never-written lines carry no off-chip state to prove).
     pub fn prove(&self, lines: &[u64]) -> Result<Proof, ProofError> {
+        self.prove_subtree(lines).map(Proof::one_shard)
+    }
+
+    /// The subtree proof for `lines` in this memory's own coordinates.
+    fn prove_subtree(&self, lines: &[u64]) -> Result<Subtree, ProofError> {
         let uniq = canonical_lines(lines);
         if uniq.is_empty() {
             return Err(ProofError::EmptyLineSet);
@@ -535,7 +535,7 @@ impl SecureMemory {
                 mac: node.mac(),
             });
         }
-        Ok(Proof {
+        Ok(Subtree {
             config: self.config().clone(),
             memory_bytes: geometry.memory_bytes(),
             key: self.key(),
@@ -546,17 +546,18 @@ impl SecureMemory {
 }
 
 impl ShardedMemory {
-    /// Emits a composed proof for `lines` (global indices): one sub-proof
-    /// per owning shard under the full digest vector. Recombines first so
-    /// the digests match [`ShardedMemory::combined_root`], which is the
-    /// published root [`verify_proof`] checks an [`AnyProof::Sharded`]
-    /// against.
+    /// Emits a proof for `lines` (global indices): one subtree proof per
+    /// owning shard, under the full digest vector when there are two or
+    /// more shards. Recombines first so the digests match
+    /// [`ShardedMemory::combined_root`], the published root
+    /// [`verify_proof`] checks the proof against. A one-shard memory's
+    /// proof is the one [`SecureMemory::prove`] gives for the same state.
     ///
     /// # Errors
     ///
     /// Returns a typed [`ProofError`] (line coordinates globalized) under
     /// the same conditions as [`SecureMemory::prove`].
-    pub fn prove(&mut self, lines: &[u64]) -> Result<ShardedProof, ProofError> {
+    pub fn prove(&mut self, lines: &[u64]) -> Result<Proof, ProofError> {
         self.recombine();
         let plan = *self.plan();
         if lines.is_empty() {
@@ -565,29 +566,30 @@ impl ShardedMemory {
         if let Some(&line) = lines.iter().filter(|&&line| line >= plan.data_lines()).min() {
             return Err(ProofError::LineOutOfRange { line });
         }
-        let mut subs = Vec::new();
-        // Each shard's `prove` canonicalizes its bucket.
+        let digests = if plan.shards() == 1 { Vec::new() } else { self.shard_digests().to_vec() };
+        let mut proof = Proof {
+            key: self.tenant_key(),
+            memory_bytes: plan.memory_bytes(),
+            digests,
+            subs: Vec::new(),
+        };
+        // Each shard's `prove_subtree` canonicalizes its bucket.
         for (shard, local) in plan.bucket(lines).iter().enumerate() {
             if local.is_empty() {
                 continue;
             }
-            let sub = self.shard(shard).prove(local).map_err(|e| match e {
-                ProofError::LineOutOfRange { line } => ProofError::LineOutOfRange {
-                    line: plan.global_line(shard, line),
-                },
+            // Every line is in range (checked above), so a subtree refuses
+            // only a never-written line or a store mutated outside the
+            // write path.
+            let sub = self.shard(shard).prove_subtree(local).map_err(|e| match e {
                 ProofError::NeverWritten { line } => ProofError::NeverWritten {
                     line: plan.global_line(shard, line),
                 },
-                other => ProofError::Shard { shard, source: Box::new(other) },
+                other => proof.in_shard(shard, other),
             })?;
-            subs.push((shard, sub));
+            proof.subs.push((shard, sub));
         }
-        Ok(ShardedProof {
-            key: self.tenant_key(),
-            memory_bytes: plan.memory_bytes(),
-            digests: self.shard_digests().to_vec(),
-            subs,
-        })
+        Ok(proof)
     }
 }
 
@@ -595,30 +597,87 @@ impl ShardedMemory {
 // Verify.
 // ---------------------------------------------------------------------
 
-/// Checks a serial [`Proof`] against a published root (the prover's
-/// [`SecureMemory::root_digest`]) with no access to the memory image.
+/// Checks a [`Proof`] against a published root (the prover's
+/// [`SecureMemory::root_digest`] or [`ShardedMemory::combined_root`]) with
+/// no access to the memory image. With two or more shards the digest
+/// vector must fold to the root, and every subtree proof must verify
+/// against its own digest-vector entry under its shard's derived key.
 ///
 /// # Errors
 ///
 /// Returns the first [`ProofError`] found: structural violations (wrong
 /// node set, undecodable bodies), MAC mismatches, or a root mismatch.
+/// Subtree failures of a proof over two or more shards are wrapped as
+/// [`ProofError::Shard`].
 pub fn verify_proof(proof: &Proof, published_root: u64) -> Result<ProofStats, ProofError> {
     verify_keyed(proof, published_root).map(|(stats, _)| stats)
 }
 
-/// [`verify_proof`], also returning each data entry's key counter (in
-/// entry order) as verification decoded it, for decryption.
-fn verify_keyed(proof: &Proof, published_root: u64) -> Result<(ProofStats, Vec<u64>), ProofError> {
-    let geometry = geometry_of(&proof.config, proof.memory_bytes)?;
-    if proof.data.is_empty() {
+/// [`verify_proof`], also returning each subtree's data-entry key
+/// counters (in entry order) as verification decoded them, for
+/// decryption.
+fn verify_keyed(
+    proof: &Proof,
+    published_root: u64,
+) -> Result<(ProofStats, Vec<Vec<u64>>), ProofError> {
+    let plan = proof.plan()?;
+    if proof.subs.is_empty() {
         return Err(ProofError::EmptyLineSet);
     }
-    for entry in &proof.data {
+    // One shard's fold is the identity: its subtree root is the published
+    // root itself.
+    let one_shard = [published_root];
+    let roots = if proof.digests.is_empty() {
+        &one_shard[..]
+    } else {
+        let computed = fold_digests(proof.key, &proof.digests);
+        if computed != published_root {
+            return Err(ProofError::RootMismatch { published: published_root, computed });
+        }
+        &proof.digests[..]
+    };
+    // Folding the digest chain costs one MAC per 8 digests.
+    let mut stats = ProofStats {
+        mac_computes: proof.digests.len().div_ceil(8) as u64,
+        ..ProofStats::default()
+    };
+    let mut counters = Vec::with_capacity(proof.subs.len());
+    for &(shard, ref sub) in &proof.subs {
+        if shard >= plan.shards() {
+            return Err(ProofError::ShardOutOfRange { shard });
+        }
+        if sub.key != ShardedMemory::derived_key(&plan, proof.key, shard) {
+            return Err(ProofError::ShardKeyMismatch { shard });
+        }
+        if sub.memory_bytes != plan.shard_memory_bytes(shard) {
+            return Err(ProofError::ShardMemoryMismatch { shard });
+        }
+        let (sub_stats, sub_counters) =
+            verify_subtree(sub, roots[shard]).map_err(|e| proof.in_shard(shard, e))?;
+        stats.data_lines += sub_stats.data_lines;
+        stats.nodes += sub_stats.nodes;
+        stats.mac_computes += sub_stats.mac_computes;
+        counters.push(sub_counters);
+    }
+    if !proof.digests.is_empty() {
+        stats.shards = proof.subs.len() as u64;
+    }
+    Ok((stats, counters))
+}
+
+/// Checks one subtree proof against its root, returning its stats and
+/// each data entry's key counter (in entry order).
+fn verify_subtree(sub: &Subtree, root: u64) -> Result<(ProofStats, Vec<u64>), ProofError> {
+    let geometry = geometry_of(&sub.config, sub.memory_bytes)?;
+    if sub.data.is_empty() {
+        return Err(ProofError::EmptyLineSet);
+    }
+    for entry in &sub.data {
         if entry.line >= geometry.data_lines() {
             return Err(ProofError::LineOutOfRange { line: entry.line });
         }
     }
-    for node in &proof.nodes {
+    for node in &sub.nodes {
         if node.level > geometry.top_level()
             || node.line_idx >= geometry.levels()[node.level].lines
         {
@@ -630,10 +689,10 @@ fn verify_keyed(proof: &Proof, published_root: u64) -> Result<(ProofStats, Vec<u
     }
 
     // The node set must be *exactly* the chain the data lines need.
-    let required: BTreeSet<(usize, u64)> =
-        proof_nodes(&geometry, &proof.lines()).into_iter().collect();
+    let lines: Vec<u64> = sub.data.iter().map(|d| d.line).collect();
+    let required: BTreeSet<(usize, u64)> = proof_nodes(&geometry, &lines).into_iter().collect();
     let carried: BTreeSet<(usize, u64)> =
-        proof.nodes.iter().map(|n| (n.level, n.line_idx)).collect();
+        sub.nodes.iter().map(|n| (n.level, n.line_idx)).collect();
     if let Some(&(level, line_idx)) = required.difference(&carried).next() {
         return Err(ProofError::MissingNode { level, line_idx });
     }
@@ -643,12 +702,12 @@ fn verify_keyed(proof: &Proof, published_root: u64) -> Result<(ProofStats, Vec<u
 
     // Decode every node body under its level's organization; the decoded
     // counters key the child MACs below.
-    let decoded = proof
+    let decoded = sub
         .nodes
         .iter()
         .map(|node| {
             let (level, line_idx) = (node.level, node.line_idx);
-            proof.config.org(level).decode_line(&node.body).map_err(|source| {
+            sub.config.org(level).decode_line(&node.body).map_err(|source| {
                 ProofError::BadNodeImage { level, line_idx, source }
             })
         })
@@ -656,23 +715,21 @@ fn verify_keyed(proof: &Proof, published_root: u64) -> Result<(ProofStats, Vec<u
     let node_at = |level: usize, line_idx: u64| -> usize {
         // The node list is sorted by (level, line_idx) and the set check
         // above guarantees presence.
-        proof
-            .nodes
+        sub.nodes
             .binary_search_by_key(&(level, line_idx), |n| (n.level, n.line_idx))
             .unwrap_or(usize::MAX)
     };
 
     // The root binds the top entry (same digest as `root_digest`).
-    let top_idx = node_at(geometry.top_level(), 0);
-    let top = &proof.nodes[top_idx];
+    let top = &sub.nodes[node_at(geometry.top_level(), 0)];
     let computed = top_digest(&top.body, top.mac);
-    if computed != published_root {
-        return Err(ProofError::RootMismatch { published: published_root, computed });
+    if computed != root {
+        return Err(ProofError::RootMismatch { published: root, computed });
     }
 
     // Counter-line MACs keyed by the parent's decoded counter (top keyed
     // 0), then data MACs keyed by the level-0 decoded counters.
-    let data_counters: Vec<u64> = proof
+    let data_counters: Vec<u64> = sub
         .data
         .iter()
         .map(|entry| {
@@ -681,8 +738,8 @@ fn verify_keyed(proof: &Proof, published_root: u64) -> Result<(ProofStats, Vec<u
         })
         .collect();
     // Items `0..nodes` are the nodes, the rest the data entries.
-    let nodes = proof.nodes.len();
-    let gather = |i: usize, body: &mut [u8; CACHELINE_BYTES]| match proof.nodes.get(i) {
+    let nodes = sub.nodes.len();
+    let gather = |i: usize, body: &mut [u8; CACHELINE_BYTES]| match sub.nodes.get(i) {
         Some(node) => {
             *body = node.body;
             let counter = if node.level == geometry.top_level() {
@@ -694,114 +751,95 @@ fn verify_keyed(proof: &Proof, published_root: u64) -> Result<(ProofStats, Vec<u
             Some((geometry.line_addr(node.level, node.line_idx), counter, Some(node.mac)))
         }
         None => {
-            let entry = &proof.data[i - nodes];
+            let entry = &sub.data[i - nodes];
             *body = entry.ciphertext;
             let addr = entry.line * CACHELINE_BYTES as u64;
             Some((addr, data_counters[i - nodes], Some(entry.mac)))
         }
     };
-    let key = derive_mac_key(proof.key);
-    let (mac_computes, outcome) = mac_batches(&key, 0..nodes + proof.data.len(), gather);
-    outcome.map_err(|i| match proof.nodes.get(i) {
+    let key = derive_mac_key(sub.key);
+    let (mac_computes, outcome) = mac_batches(&key, 0..nodes + sub.data.len(), gather);
+    outcome.map_err(|i| match sub.nodes.get(i) {
         Some(node) => ProofError::NodeMacMismatch { level: node.level, line_idx: node.line_idx },
-        None => ProofError::DataMacMismatch { line: proof.data[i - nodes].line },
+        None => ProofError::DataMacMismatch { line: sub.data[i - nodes].line },
     })?;
 
     let stats = ProofStats {
-        data_lines: proof.data.len() as u64,
-        nodes: proof.nodes.len() as u64,
+        data_lines: sub.data.len() as u64,
+        nodes: sub.nodes.len() as u64,
         mac_computes,
         shards: 0,
     };
     Ok((stats, data_counters))
 }
 
-/// Checks a [`ShardedProof`] against a published combined root (the
-/// prover's [`ShardedMemory::combined_root`]): the digest vector must fold
-/// to the root, and every sub-proof must verify against its own
-/// digest-vector entry under its shard's derived key.
-///
-/// # Errors
-///
-/// Returns the first [`ProofError`] found; sub-proof failures are wrapped
-/// as [`ProofError::Shard`].
-pub fn verify_sharded_proof(
-    proof: &ShardedProof,
-    published_root: u64,
-) -> Result<ProofStats, ProofError> {
-    let shards = proof.digests.len();
-    let plan = ShardPlan::new(proof.memory_bytes, shards)
-        .map_err(|_| ProofError::BadShardPlan { shards: shards as u64 })?;
-    if proof.subs.is_empty() {
-        return Err(ProofError::EmptyLineSet);
-    }
-    let computed = fold_digests(proof.key, &proof.digests);
-    if computed != published_root {
-        return Err(ProofError::RootMismatch { published: published_root, computed });
-    }
-    let mut stats = ProofStats::default();
-    for &(shard, ref sub) in &proof.subs {
-        if shard >= shards {
-            return Err(ProofError::ShardOutOfRange { shard });
-        }
-        if sub.key != ShardedMemory::derived_key(proof.key, shard) {
-            return Err(ProofError::ShardKeyMismatch { shard });
-        }
-        if sub.memory_bytes != plan.shard_memory_bytes(shard) {
-            return Err(ProofError::ShardMemoryMismatch { shard });
-        }
-        let sub_stats = verify_proof(sub, proof.digests[shard])
-            .map_err(|e| ProofError::Shard { shard, source: Box::new(e) })?;
-        stats.data_lines += sub_stats.data_lines;
-        stats.nodes += sub_stats.nodes;
-        stats.mac_computes += sub_stats.mac_computes;
-        stats.shards += 1;
-    }
-    // Folding the digest chain costs one MAC per 8 digests.
-    stats.mac_computes += proof.digests.len().div_ceil(8) as u64;
-    Ok(stats)
-}
-
-/// Verifies a proof of either kind against its published root.
-///
-/// # Errors
-///
-/// See [`verify_proof`] and [`verify_sharded_proof`].
-pub fn verify_any_proof(proof: &AnyProof, published_root: u64) -> Result<ProofStats, ProofError> {
-    match proof {
-        AnyProof::Serial(p) => verify_proof(p, published_root),
-        AnyProof::Sharded(p) => verify_sharded_proof(p, published_root),
-    }
-}
-
 // ---------------------------------------------------------------------
-// Authenticated reads.
+// Proof structure and authenticated reads.
 // ---------------------------------------------------------------------
 
 impl Proof {
-    /// The proven data line indices (ascending).
+    /// A single memory's proof: its one subtree proof.
+    fn one_shard(sub: Subtree) -> Proof {
+        Proof {
+            key: sub.key,
+            memory_bytes: sub.memory_bytes,
+            digests: Vec::new(),
+            subs: vec![(0, sub)],
+        }
+    }
+
+    /// The subtree proof of a one-shard proof.
+    fn into_one_shard(self) -> Option<Subtree> {
+        match (self.digests.is_empty(), self.subs.into_iter().next()) {
+            (true, Some((_, sub))) => Some(sub),
+            _ => None,
+        }
+    }
+
+    /// The declared partition.
+    fn plan(&self) -> Result<ShardPlan, ProofError> {
+        let shards = self.digests.len().max(1);
+        ShardPlan::new(self.memory_bytes, shards)
+            .map_err(|_| ProofError::BadShardPlan { shards: shards as u64 })
+    }
+
+    /// A subtree's failure as the whole proof reports it: as is for one
+    /// shard, tagged with its shard otherwise.
+    fn in_shard(&self, shard: usize, err: ProofError) -> ProofError {
+        if self.digests.is_empty() {
+            err
+        } else {
+            ProofError::Shard { shard, source: Box::new(err) }
+        }
+    }
+
+    /// The proven data line indices, in global coordinates (ascending:
+    /// subtrees ascend by shard, and shards by address).
     #[must_use]
     pub fn lines(&self) -> Vec<u64> {
-        self.data.iter().map(|d| d.line).collect()
+        let Ok(plan) = self.plan() else {
+            return Vec::new();
+        };
+        self.subs
+            .iter()
+            .flat_map(|(shard, sub)| {
+                let base = plan.shard_base(*shard);
+                sub.data.iter().map(move |d| base + d.line)
+            })
+            .collect()
     }
 
-    /// Number of counter nodes carried.
+    /// Total counter nodes carried across subtree proofs.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The declared tree configuration.
-    #[must_use]
-    pub fn config(&self) -> &TreeConfig {
-        &self.config
+        self.subs.iter().map(|(_, sub)| sub.nodes.len()).sum()
     }
 
     /// Verifies against `published_root` and, on success, decrypts the
     /// proven lines — the authenticated read: `(line, plaintext)` pairs in
-    /// ascending line order. (The proof embeds the construction key by the
-    /// model concession the snapshot formats share, so a verifier entitled
-    /// to the proof can also read it.)
+    /// ascending global line order. (The proof embeds the construction key
+    /// by the model concession the snapshot formats share, so a verifier
+    /// entitled to the proof can also read it.)
     ///
     /// # Errors
     ///
@@ -811,12 +849,12 @@ impl Proof {
         published_root: u64,
     ) -> Result<Vec<(u64, [u8; CACHELINE_BYTES])>, ProofError> {
         let (_, counters) = verify_keyed(self, published_root)?;
-        let cipher = CtrModeCipher::new(self.key);
-        Ok(self
-            .data
-            .iter()
-            .zip(counters)
-            .map(|(entry, counter)| {
+        let plan = self.plan()?;
+        let mut reads = Vec::new();
+        for ((shard, sub), counters) in self.subs.iter().zip(counters) {
+            let cipher = CtrModeCipher::new(sub.key);
+            let base = plan.shard_base(*shard);
+            for (entry, counter) in sub.data.iter().zip(counters) {
                 let mut plaintext = [0u8; CACHELINE_BYTES];
                 cipher.decrypt_line_into(
                     entry.line * CACHELINE_BYTES as u64,
@@ -824,100 +862,10 @@ impl Proof {
                     &entry.ciphertext,
                     &mut plaintext,
                 );
-                (entry.line, plaintext)
-            })
-            .collect())
-    }
-}
-
-impl ShardedProof {
-    /// The proven data line indices, in global coordinates (ascending).
-    #[must_use]
-    pub fn lines(&self) -> Vec<u64> {
-        let Ok(plan) = ShardPlan::new(self.memory_bytes, self.digests.len().max(1)) else {
-            return Vec::new();
-        };
-        let mut lines: Vec<u64> = self
-            .subs
-            .iter()
-            .flat_map(|(shard, sub)| {
-                let shard = *shard;
-                sub.lines().into_iter().map(move |l| plan.global_line(shard, l))
-            })
-            .collect();
-        lines.sort_unstable();
-        lines
-    }
-
-    /// Total counter nodes carried across sub-proofs.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.subs.iter().map(|(_, sub)| sub.node_count()).sum()
-    }
-
-    /// Shards in the declared partition.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.digests.len()
-    }
-
-    /// Verifies against the published combined root and decrypts the
-    /// proven lines in global coordinates (see [`Proof::verify_and_read`]).
-    ///
-    /// # Errors
-    ///
-    /// Any [`verify_sharded_proof`] failure.
-    pub fn verify_and_read(
-        &self,
-        published_root: u64,
-    ) -> Result<Vec<(u64, [u8; CACHELINE_BYTES])>, ProofError> {
-        verify_sharded_proof(self, published_root)?;
-        let plan = ShardPlan::new(self.memory_bytes, self.digests.len())
-            .map_err(|_| ProofError::BadShardPlan { shards: self.digests.len() as u64 })?;
-        let mut out = Vec::new();
-        for &(shard, ref sub) in &self.subs {
-            for (local, plaintext) in sub.verify_and_read(self.digests[shard])? {
-                out.push((plan.global_line(shard, local), plaintext));
+                reads.push((base + entry.line, plaintext));
             }
         }
-        out.sort_unstable_by_key(|&(line, _)| line);
-        Ok(out)
-    }
-}
-
-impl AnyProof {
-    /// The proven data line indices (global coordinates, ascending).
-    #[must_use]
-    pub fn lines(&self) -> Vec<u64> {
-        match self {
-            AnyProof::Serial(p) => p.lines(),
-            AnyProof::Sharded(p) => p.lines(),
-        }
-    }
-
-    /// Total counter nodes carried.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        match self {
-            AnyProof::Serial(p) => p.node_count(),
-            AnyProof::Sharded(p) => p.node_count(),
-        }
-    }
-
-    /// Verifies and decrypts the proven lines (see
-    /// [`Proof::verify_and_read`]).
-    ///
-    /// # Errors
-    ///
-    /// Any verification failure for the underlying kind.
-    pub fn verify_and_read(
-        &self,
-        published_root: u64,
-    ) -> Result<Vec<(u64, [u8; CACHELINE_BYTES])>, ProofError> {
-        match self {
-            AnyProof::Serial(p) => p.verify_and_read(published_root),
-            AnyProof::Sharded(p) => p.verify_and_read(published_root),
-        }
+        Ok(reads)
     }
 }
 
@@ -925,13 +873,13 @@ impl AnyProof {
 // Codec.
 // ---------------------------------------------------------------------
 
-fn encode_serial_body(proof: &Proof, w: &mut ByteWriter) {
-    write_config(w, &proof.config);
-    write_varint(w, proof.memory_bytes);
-    w.bytes(&proof.key);
-    write_varint(w, proof.data.len() as u64);
+fn encode_subtree_body(sub: &Subtree, w: &mut ByteWriter) {
+    write_config(w, &sub.config);
+    write_varint(w, sub.memory_bytes);
+    w.bytes(&sub.key);
+    write_varint(w, sub.data.len() as u64);
     let mut prev = 0u64;
-    for (i, entry) in proof.data.iter().enumerate() {
+    for (i, entry) in sub.data.iter().enumerate() {
         // Delta coding over the strictly ascending line indices.
         let delta = if i == 0 { entry.line } else { entry.line - prev };
         write_varint(w, delta);
@@ -939,8 +887,8 @@ fn encode_serial_body(proof: &Proof, w: &mut ByteWriter) {
         w.u64(entry.mac);
         prev = entry.line;
     }
-    write_varint(w, proof.nodes.len() as u64);
-    for node in &proof.nodes {
+    write_varint(w, sub.nodes.len() as u64);
+    for node in &sub.nodes {
         write_varint(w, node.level as u64);
         write_varint(w, node.line_idx);
         w.bytes(&node.body);
@@ -948,36 +896,25 @@ fn encode_serial_body(proof: &Proof, w: &mut ByteWriter) {
     }
 }
 
-impl Proof {
-    /// Encodes the proof to its canonical byte form (magic, version, body,
-    /// trailing FNV checksum).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u8(KIND_SERIAL);
-        encode_serial_body(self, &mut w);
-        framed(w)
-    }
-
-    /// Decodes a serial proof (strict: checksum, canonical varints, exact
-    /// consumption, strictly ascending entries).
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`ProofError`] on any framing violation.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProofError> {
-        match decode_proof(bytes)? {
-            AnyProof::Serial(p) => Ok(p),
-            AnyProof::Sharded(_) => Err(ProofError::UnknownKind { kind: KIND_SHARDED }),
-        }
-    }
+/// A subtree proof in its one-shard framing: a whole proof of its own,
+/// and the form a proof over two or more shards embeds.
+fn encode_subtree(sub: &Subtree) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u8(KIND_ONE_SHARD);
+    encode_subtree_body(sub, &mut w);
+    framed(w)
 }
 
-impl ShardedProof {
-    /// Encodes the composed proof (each sub-proof embedded in its own
-    /// full framing, length-prefixed).
+impl Proof {
+    /// Encodes the proof to its canonical byte form (magic, version, kind,
+    /// body, trailing FNV checksum): a one-shard proof as its subtree
+    /// proof, any other with its digest vector and each subtree proof
+    /// embedded in its own full framing, length-prefixed.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
+        if let ([], [(_, sub)]) = (&self.digests[..], &self.subs[..]) {
+            return encode_subtree(sub);
+        }
         let mut w = ByteWriter::new();
         w.u8(KIND_SHARDED);
         w.bytes(&self.key);
@@ -989,34 +926,11 @@ impl ShardedProof {
         write_varint(&mut w, self.subs.len() as u64);
         for &(shard, ref sub) in &self.subs {
             write_varint(&mut w, shard as u64);
-            let encoded = sub.encode();
+            let encoded = encode_subtree(sub);
             write_varint(&mut w, encoded.len() as u64);
             w.bytes(&encoded);
         }
         framed(w)
-    }
-
-    /// Decodes a sharded proof (strict; see [`Proof::decode`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`ProofError`] on any framing violation.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProofError> {
-        match decode_proof(bytes)? {
-            AnyProof::Sharded(p) => Ok(p),
-            AnyProof::Serial(_) => Err(ProofError::UnknownKind { kind: KIND_SERIAL }),
-        }
-    }
-}
-
-impl AnyProof {
-    /// Encodes the proof in its kind's canonical byte form.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            AnyProof::Serial(p) => p.encode(),
-            AnyProof::Sharded(p) => p.encode(),
-        }
     }
 }
 
@@ -1055,7 +969,7 @@ fn truncated(t: crate::persist::codec::Truncated) -> ProofError {
     ProofError::Truncated { offset: t.offset }
 }
 
-fn decode_serial_body(r: &mut ByteReader<'_>) -> Result<Proof, ProofError> {
+fn decode_subtree_body(r: &mut ByteReader<'_>) -> Result<Subtree, ProofError> {
     let config_offset = r.offset();
     let config = read_config(r).map_err(|_| ProofError::BadConfig { offset: config_offset })?;
     let memory_bytes = read_varint(r)?;
@@ -1110,22 +1024,22 @@ fn decode_serial_body(r: &mut ByteReader<'_>) -> Result<Proof, ProofError> {
         let mac = r.u64().map_err(truncated)?;
         nodes.push(ProofNode { level, line_idx, body, mac });
     }
-    Ok(Proof { config, memory_bytes, key, data, nodes })
+    Ok(Subtree { config, memory_bytes, key, data, nodes })
 }
 
-/// Decodes a proof of either kind, strictly: the trailing checksum must
-/// match, every varint must be canonical, entries must be strictly
-/// ascending, and every byte must be consumed — the no-slack-byte
-/// property the codec tests sweep.
+/// Decodes a proof, strictly: the trailing checksum must match, every
+/// varint must be canonical, entries must be strictly ascending, every
+/// byte must be consumed, and a proof over one shard must use the
+/// one-shard kind — the no-slack-byte property the codec tests sweep.
 ///
 /// # Errors
 ///
 /// Returns a typed [`ProofError`] on any framing violation.
-pub fn decode_proof(bytes: &[u8]) -> Result<AnyProof, ProofError> {
+pub fn decode_proof(bytes: &[u8]) -> Result<Proof, ProofError> {
     let mut r = open(bytes)?;
     let kind = r.u8().map_err(truncated)?;
     let proof = match kind {
-        KIND_SERIAL => AnyProof::Serial(decode_serial_body(&mut r)?),
+        KIND_ONE_SHARD => Proof::one_shard(decode_subtree_body(&mut r)?),
         KIND_SHARDED => {
             let key: [u8; 16] = r
                 .bytes(16)
@@ -1136,6 +1050,9 @@ pub fn decode_proof(bytes: &[u8]) -> Result<AnyProof, ProofError> {
             let shard_count = read_varint(&mut r)?;
             // Pre-validate the partition so the digest read below is
             // bounded by a plausible shard count.
+            if shard_count == 1 {
+                return Err(ProofError::BadShardPlan { shards: shard_count });
+            }
             ShardPlan::new(memory_bytes, shard_count.min(usize::MAX as u64) as usize)
                 .map_err(|_| ProofError::BadShardPlan { shards: shard_count })?;
             let mut digests = Vec::new();
@@ -1160,10 +1077,13 @@ pub fn decode_proof(bytes: &[u8]) -> Result<AnyProof, ProofError> {
                 prev_shard = Some(shard);
                 let len = read_varint(&mut r)? as usize;
                 let embedded = r.bytes(len).map_err(truncated)?;
-                let sub = Proof::decode(embedded)?;
+                // Each embedded subtree proof is a whole one-shard proof.
+                let sub = decode_proof(embedded)?
+                    .into_one_shard()
+                    .ok_or(ProofError::UnknownKind { kind: KIND_SHARDED })?;
                 subs.push((shard as usize, sub));
             }
-            AnyProof::Sharded(ShardedProof { key, memory_bytes, digests, subs })
+            Proof { key, memory_bytes, digests, subs }
         }
         other => return Err(ProofError::UnknownKind { kind: other }),
     };
@@ -1196,7 +1116,7 @@ mod tests {
             assert_eq!(stats.data_lines, 4);
             assert!(stats.nodes >= 1);
             let decoded = decode_proof(&proof.encode()).unwrap();
-            assert_eq!(decoded, AnyProof::Serial(proof));
+            assert_eq!(decoded, proof);
         }
     }
 
@@ -1205,7 +1125,7 @@ mod tests {
         let mem = written_memory(TreeConfig::morphtree(), 256, 32);
         let proof = mem.prove(&[3, 15, 51]).unwrap();
         let bytes = proof.encode();
-        let decoded = Proof::decode(&bytes).unwrap();
+        let decoded = decode_proof(&bytes).unwrap();
         assert_eq!(decoded.encode(), bytes);
     }
 
@@ -1255,20 +1175,25 @@ mod tests {
         let mut proof = mem.prove(&[0]).unwrap();
         let extra = mem.prove(&[189]).unwrap();
         // Graft a node the line set does not need.
-        let surplus = extra
+        let surplus = extra.subs[0]
+            .1
             .nodes
             .iter()
-            .find(|n| !proof.nodes.iter().any(|m| (m.level, m.line_idx) == (n.level, n.line_idx)))
+            .find(|n| {
+                let carried = &proof.subs[0].1.nodes;
+                !carried.iter().any(|m| (m.level, m.line_idx) == (n.level, n.line_idx))
+            })
             .cloned()
             .unwrap();
-        proof.nodes.push(surplus.clone());
-        proof.nodes.sort_by_key(|n| (n.level, n.line_idx));
+        let nodes = &mut proof.subs[0].1.nodes;
+        nodes.push(surplus.clone());
+        nodes.sort_by_key(|n| (n.level, n.line_idx));
         assert_eq!(
             verify_proof(&proof, mem.root_digest()),
             Err(ProofError::UnexpectedNode { level: surplus.level, line_idx: surplus.line_idx })
         );
         let mut proof = mem.prove(&[0]).unwrap();
-        let dropped = proof.nodes.remove(0);
+        let dropped = proof.subs[0].1.nodes.remove(0);
         assert_eq!(
             verify_proof(&proof, mem.root_digest()),
             Err(ProofError::MissingNode { level: dropped.level, line_idx: dropped.line_idx })
@@ -1295,7 +1220,7 @@ mod tests {
         }
         let root = mem.combined_root();
         let proof = mem.prove(&[0, 7, 1000, last]).unwrap();
-        let stats = verify_sharded_proof(&proof, root).unwrap();
+        let stats = verify_proof(&proof, root).unwrap();
         assert_eq!(stats.data_lines, 4);
         assert!(stats.shards >= 2, "lines span shards");
         assert_eq!(proof.lines(), vec![0, 7, 1000, last]);
@@ -1303,7 +1228,7 @@ mod tests {
         assert_eq!(reads[0], (0, [0u8; 64]));
         assert_eq!(reads[3], (last, [last as u8; 64]));
         let decoded = decode_proof(&proof.encode()).unwrap();
-        assert_eq!(decoded, AnyProof::Sharded(proof));
+        assert_eq!(decoded, proof);
     }
 
     #[test]
@@ -1314,7 +1239,7 @@ mod tests {
         let mut proof = mem.prove(&[0]).unwrap();
         // Tamper the digest of the *unproven* shard: the fold must catch it.
         proof.digests[1] ^= 1;
-        let err = verify_sharded_proof(&proof, root).unwrap_err();
+        let err = verify_proof(&proof, root).unwrap_err();
         assert!(matches!(err, ProofError::RootMismatch { .. }), "{err}");
     }
 

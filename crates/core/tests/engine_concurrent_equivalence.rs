@@ -14,12 +14,17 @@
 //!    combined root (and every outcome) is identical across 1/2/4/8
 //!    worker threads and across seeded SplitMix64 interleavings of the
 //!    per-shard queues. Concurrency must be unobservable in final state.
+//!
+//! A third pins the one-shard case: a one-shard engine *is* the serial
+//! memory, with the same root, snapshot bytes, proof bytes and recovery.
 
 use proptest::prelude::*;
 
+use morphtree_core::attack::campaign_configs;
 use morphtree_core::concurrent::{Op, OpOutcome, ShardedMemory, SplitMix64};
 use morphtree_core::error::IntegrityError;
 use morphtree_core::functional::SecureMemory;
+use morphtree_core::persist::{recover_sharded_bounded, save_memory, save_sharded, ShardedRecovery};
 use morphtree_core::tree::TreeConfig;
 use morphtree_core::CACHELINE_BYTES;
 
@@ -279,6 +284,45 @@ fn mid_run_byte_flip_is_detected_on_every_schedule() {
                 }),
                 "threads {threads}, schedule {schedule_seed}: flip went undetected"
             );
+        }
+    }
+}
+
+/// The n = 1 rule: one shard keeps the tenant key and folds its top as
+/// the identity, so the same write history through a one-shard engine and
+/// through a serial memory leaves the same root, the same snapshot bytes
+/// and the same proof bytes, and either image recovers to that root.
+#[test]
+fn one_shard_is_the_serial_memory_byte_for_byte() {
+    const MEMORY: u64 = 256 << 10;
+    for (name, config) in campaign_configs() {
+        let mut serial = SecureMemory::new(config.clone(), MEMORY, KEY);
+        let mut sharded = ShardedMemory::new(config, MEMORY, KEY, 1).unwrap();
+        let mut rng = SplitMix64::new(0x51_6e1e);
+        let mut written = Vec::new();
+        for _ in 0..600 {
+            // A quarter of the writes hammer two lines, overflowing the
+            // split counters' level 0.
+            let line = if rng.below(4) == 0 { rng.below(2) } else { rng.below(MEMORY / 64) };
+            let data = payload(rng.next_u64());
+            serial.write(line, &data);
+            sharded.write(line, &data);
+            written.push(line);
+        }
+        assert_eq!(sharded.combined_root(), serial.root_digest(), "{name}: root");
+        let image = save_sharded(&sharded);
+        assert_eq!(image, save_memory(&serial), "{name}: snapshot bytes");
+        let proved: Vec<u64> = written.iter().copied().step_by(37).collect();
+        assert_eq!(
+            sharded.prove(&proved).unwrap().encode(),
+            serial.prove(&proved).unwrap().encode(),
+            "{name}: proof bytes"
+        );
+        for bytes in [image, save_memory(&serial)] {
+            let mut recovered = recover_sharded_bounded::<&[u8]>(&bytes, &[])
+                .and_then(ShardedRecovery::into_memory)
+                .unwrap();
+            assert_eq!(recovered.combined_root(), serial.root_digest(), "{name}: recovered root");
         }
     }
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use morphtree_core::concurrent::ShardedMemory;
 use morphtree_core::functional::SecureMemory;
-use morphtree_core::proof::{decode_proof, verify_any_proof, verify_proof, AnyProof};
+use morphtree_core::proof::{decode_proof, verify_proof};
 use morphtree_core::tree::TreeConfig;
 
 const KEY: [u8; 16] = [0x33; 16];
@@ -48,7 +48,7 @@ fn every_single_byte_flip_of_a_serial_proof_is_rejected() {
     }
     // And the untampered bytes still round-trip and verify.
     let decoded = decode_proof(&encoded).unwrap();
-    verify_any_proof(&decoded, memory.root_digest()).unwrap();
+    verify_proof(&decoded, memory.root_digest()).unwrap();
 }
 
 #[test]
@@ -67,7 +67,7 @@ fn every_single_byte_flip_of_a_sharded_proof_is_rejected() {
         assert!(decode_proof(&bad).is_err(), "flip at byte {i} accepted");
     }
     let decoded = decode_proof(&encoded).unwrap();
-    verify_any_proof(&decoded, root).unwrap();
+    verify_proof(&decoded, root).unwrap();
 }
 
 #[test]
@@ -172,18 +172,16 @@ proptest! {
         let encoded = proof.encode();
         let decoded = decode_proof(&encoded).unwrap();
         prop_assert_eq!(decoded.encode(), encoded.clone(), "re-encode must be stable");
-        let stats = verify_any_proof(&decoded, memory.root_digest()).unwrap();
+        let stats = verify_proof(&decoded, memory.root_digest()).unwrap();
         picks.sort_unstable();
         picks.dedup();
         prop_assert_eq!(stats.data_lines, picks.len() as u64);
         prop_assert_eq!(decoded.lines(), picks);
-        // Verification really is standalone: the AnyProof value plus the
+        // Verification really is standalone: the decoded proof plus the
         // root are all that is consulted (no captures of `memory` here).
-        if let AnyProof::Serial(p) = &decoded {
-            let reads = p.verify_and_read(memory.root_digest()).unwrap();
-            for (line, plaintext) in reads {
-                prop_assert_eq!(plaintext, payload(line));
-            }
+        let reads = decoded.verify_and_read(memory.root_digest()).unwrap();
+        for (line, plaintext) in reads {
+            prop_assert_eq!(plaintext, payload(line));
         }
     }
 
@@ -203,7 +201,7 @@ proptest! {
         match decode_proof(&encoded) {
             Err(_) => {}
             Ok(p) => prop_assert!(
-                verify_any_proof(&p, memory.root_digest()).is_err(),
+                verify_proof(&p, memory.root_digest()).is_err(),
                 "tampered byte {at} bit {bit} verified",
             ),
         }
