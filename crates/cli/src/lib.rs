@@ -325,7 +325,10 @@ fn cmd_geometry(flags: &Flags) -> Result<String, CliError> {
     if gib == 0 {
         return Err(err("--memory-gib must be positive"));
     }
-    let memory = gib << 30;
+    // Analytic only, so no snapshot bound: just refuse what u64 cannot hold.
+    let memory = gib
+        .checked_mul(1 << 30)
+        .ok_or_else(|| err(format!("--memory-gib {gib} overflows a 64-bit byte count")))?;
     let configs: Vec<TreeConfig> = match flags.get_or("config", "all") {
         "all" => vec![
             TreeConfig::sgx(),
@@ -1147,6 +1150,18 @@ mod tests {
         assert!(out.contains("MorphCtr-128"), "{out}");
         assert!(out.contains("3 levels"), "{out}");
         assert!(out.contains("292.57 MiB") || out.contains("292.6"), "{out}");
+    }
+
+    /// 2^34 GiB is 2^64 bytes: the byte count used to wrap to 0 (a
+    /// geometry panic) or, one GiB more, to 1 GiB printed under the
+    /// requested size.
+    #[test]
+    fn geometry_size_that_overflows_is_a_usage_error() {
+        for gib in ["17179869184", "17179869185"] {
+            let e = run("geometry", &strs(&["--memory-gib", gib])).unwrap_err();
+            assert_eq!(e.exit_code(), 1, "{gib}: {}", e.0);
+            assert!(e.0.contains("--memory-gib"), "{gib}: {}", e.0);
+        }
     }
 
     #[test]

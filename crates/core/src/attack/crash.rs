@@ -414,7 +414,9 @@ fn drill_mid_cut(
 }
 
 /// One quarantine drill: corrupt a complete record in `victim`'s log and
-/// demand that shard refuses while every other shard keeps serving.
+/// demand that shard refuses while every other shard keeps serving. A
+/// one-shard memory has nothing left to serve, so there recovery must
+/// refuse as a whole, with the shard's typed error.
 fn drill_quarantine(mem: &EpochShardedMemory, report: &mut CrashCampaignReport, victim: usize) {
     let container = mem.sealed_container();
     let mut wals = mem.wals();
@@ -427,6 +429,13 @@ fn drill_quarantine(mem: &EpochShardedMemory, report: &mut CrashCampaignReport, 
     let start = Instant::now();
     let rec = recover_sharded_bounded(&container, &wals);
     report.latencies.push(start.elapsed());
+    if mem.plan().shards() == 1 {
+        match rec {
+            Err(_) => report.quarantine_detected += 1,
+            Ok(_) => report.diverge("quarantine drill on the only shard recovered".into()),
+        }
+        return;
+    }
     let rec = match rec {
         Ok(rec) => rec,
         Err(e) => {
@@ -624,6 +633,17 @@ mod tests {
             let report = run_crash_campaign(&tree, &small).unwrap();
             assert!(report.passed(), "{key}: {}", report.render());
         }
+    }
+
+    /// One shard is `serve`'s default layout: quarantining it leaves
+    /// nothing to serve, so the drill passes when recovery refuses.
+    #[test]
+    fn crash_campaign_passes_on_one_shard() {
+        let one = CrashCampaignConfig { shards: 1, ..quick() };
+        let report = run_crash_campaign(&TreeConfig::morphtree(), &one).unwrap();
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(report.quarantine_drills, 1);
+        assert_eq!(report.quarantine_detected, 1);
     }
 
     #[test]

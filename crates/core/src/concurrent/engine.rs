@@ -144,8 +144,8 @@ fn apply(plan: &ShardPlan, shard: usize, memory: &mut SecureMemory, op: &Op) -> 
 
 /// Flushes a run of consecutive reads against one shard as a single
 /// multi-line verify+decrypt call ([`SecureMemory::verify_and_read`]),
-/// so the whole run shares batched MAC passes and deduplicated ancestor
-/// verification.
+/// so the whole run shares one verification plan and deduplicated
+/// ancestor verification.
 ///
 /// Outcome lockstep is preserved by construction: a successful bulk pass
 /// performs a superset of every per-line check, so its plaintexts equal

@@ -38,7 +38,7 @@ use morphtree_crypto::{CtrModeCipher, MacKey};
 
 mod verify;
 
-pub(crate) use verify::{ancestors, canonical_lines, mac_batches, VerifyPlan};
+pub(crate) use verify::{ancestors, canonical_lines, mac_checks, VerifyPlan};
 
 use crate::counters::tree::CounterTree;
 use crate::counters::{CounterLine, IncrementOutcome, Line};
@@ -428,7 +428,7 @@ impl SecureMemory {
 
     /// Batch-verifies `lines` and returns their plaintexts in **input
     /// order** — the bulk form of calling [`SecureMemory::read`] per
-    /// line, with every MAC going through the batched SipHash pass.
+    /// line, with shared ancestors verified once.
     ///
     /// Verification canonicalizes exactly like
     /// [`SecureMemory::verify_lines`]: duplicates are verified and
@@ -1236,6 +1236,69 @@ mod tests {
             m.verify_all().unwrap();
             let spent = delta(before, m.crypto_ops());
             assert_eq!(spent, CryptoOps { mac_computes: stored, ..CryptoOps::default() }, "{name}");
+        }
+    }
+
+    /// The MACs a verification charges, which must fail.
+    fn failing_macs<T>(
+        m: &SecureMemory,
+        verify: impl FnOnce(&SecureMemory) -> Result<T, IntegrityError>,
+    ) -> u64 {
+        let before = m.crypto_ops().mac_computes;
+        assert!(verify(m).is_err(), "the tamper must be detected");
+        m.crypto_ops().mac_computes - before
+    }
+
+    /// A failing run charges the present checks up to and including the
+    /// one that failed, in plan order: a read of a tampered data line one
+    /// MAC, a read under a flipped level-k ancestor MAC k + 2, and
+    /// `verify_lines` the present checks of its canonical order up to the
+    /// failure.
+    #[test]
+    fn failure_path_charges_the_checks_up_to_the_failure() {
+        for (name, config) in crate::attack::campaign_configs() {
+            // 1 GiB gives every config several off-chip levels.
+            let mut clean = SecureMemory::new(config, 1 << 30, [9u8; 16]);
+            let written = [3u64, 9, 40, 9000, 77_777];
+            for line in written {
+                clean.write(line, &[0x5e; 64]);
+            }
+            let top = clean.geometry().top_level();
+            assert!(top >= 3, "{name}: too shallow to test the chain");
+
+            for line in written {
+                let mut m = clean.clone();
+                m.tamper_raw(line, 0, 1).unwrap();
+                assert_eq!(failing_macs(&m, |m| m.read(line)), 1, "{name}: read {line}");
+            }
+            let line = 77_777;
+            let mut child = line;
+            for level in 0..top {
+                child = clean.geometry().parent_of(level, child).0;
+                let mut m = clean.clone();
+                m.tamper_counter_mac(level, child, 1).unwrap();
+                let spent = failing_macs(&m, |m| m.read(line));
+                assert_eq!(spent, level as u64 + 2, "{name}: level {level}");
+            }
+
+            // Canonical order 3, 9, 17 (never written: no check), 40,
+            // 9000, 77_777, then the level-0 ancestors ascending.
+            let lines = [9000u64, 3, 17, 40, 3, 77_777, 9];
+            for (position, line) in written.into_iter().enumerate() {
+                let mut m = clean.clone();
+                m.tamper_raw(line, 0, 1).unwrap();
+                let spent = failing_macs(&m, |m| m.verify_lines(&lines));
+                assert_eq!(spent, position as u64 + 1, "{name}: verify_lines data {line}");
+            }
+            // The largest line's level-0 parent is the last level-0
+            // ancestor checked.
+            let parents: std::collections::BTreeSet<u64> =
+                written.iter().map(|&l| clean.geometry().parent_of(0, l).0).collect();
+            let mut m = clean.clone();
+            m.tamper_counter_mac(0, clean.geometry().parent_of(0, line).0, 1).unwrap();
+            let spent = failing_macs(&m, |m| m.verify_lines(&lines));
+            let expect = written.len() as u64 + parents.len() as u64;
+            assert_eq!(spent, expect, "{name}: verify_lines level-0 ancestor");
         }
     }
 

@@ -1,6 +1,7 @@
 //! The one verification pipeline (DESIGN §13): every integrity check a
 //! secure memory makes is a [`Check`] in a [`VerifyPlan`], and one runner,
-//! [`mac_batches`], MACs those checks and a proof's alike.
+//! [`mac_checks`], MACs those checks and a proof's alike, one check at a
+//! time.
 //!
 //! A plan's order fixes which error a tampered memory reports first:
 //! [`VerifyPlan::Line`] (behind `read`) checks the data line, then its
@@ -13,11 +14,10 @@
 //! A check is *present* when its line is stored (an absent line has
 //! nothing off chip to check). A plan's [`cost`](VerifyPlan::cost) is its
 //! number of present checks: exactly the MACs a successful run charges. A
-//! failing run stops at the first mismatch but charges every MAC of the
-//! chunks it computed, up to [`VERIFY_BATCH`]` - 1` past the failing
-//! check.
+//! failing run stops at the first mismatch and charges the present checks
+//! up to and including the one that failed.
 
-use morphtree_crypto::{MacKey, MacTag};
+use morphtree_crypto::MacKey;
 
 use super::SecureMemory;
 use crate::counters::CounterLine;
@@ -25,11 +25,6 @@ use crate::error::IntegrityError;
 use crate::store::PagedStore;
 use crate::tree::TreeGeometry;
 use crate::CACHELINE_BYTES;
-
-/// Lines per batched MAC pass: enough to amortize loop overhead without
-/// oversizing the stack buffers. A read's data line and whole chain fit
-/// one pass in every evaluated geometry (under 12 levels).
-const VERIFY_BATCH: usize = 16;
 
 /// One integrity check: one line's MAC, recomputed and compared with the
 /// MAC stored beside it.
@@ -49,48 +44,29 @@ enum Check {
 /// line (`None`: missing, which fails).
 pub(crate) type Keyed = (u64, u64, Option<u64>);
 
-/// The runner's batch-compare step. `gather` writes each present item's
-/// 64-byte body straight into a fixed stack buffer and returns its
-/// [`Keyed`] input (`None` skips an absent item); every
-/// [`VERIFY_BATCH`] items are MACed with one [`MacKey::mac_lines_into`]
-/// call and compared with their stored MACs, in order.
+/// The one verification runner. `gather` writes each present item's
+/// 64-byte body into a reused buffer and returns its [`Keyed`] input
+/// (`None` skips an absent item); the item is MACed with
+/// [`MacKey::mac_line`] and compared with its stored MAC at once.
 ///
-/// Returns the number of MACs computed and the first failing item. On a
-/// failure the count includes the rest of the failing chunk.
-pub(crate) fn mac_batches<T: Copy>(
+/// Returns the number of MACs computed and the first failing item.
+pub(crate) fn mac_checks<T: Copy>(
     key: &MacKey,
-    mut items: impl Iterator<Item = T>,
+    items: impl Iterator<Item = T>,
     mut gather: impl FnMut(T, &mut [u8; CACHELINE_BYTES]) -> Option<Keyed>,
 ) -> (u64, Result<(), T>) {
-    let mut bodies = [[0u8; CACHELINE_BYTES]; VERIFY_BATCH];
-    // (line addr, key counter) and (item, stored MAC) per gathered input.
-    let mut keys = [(0u64, 0u64); VERIFY_BATCH];
-    let mut expect: [Option<(T, Option<u64>)>; VERIFY_BATCH] = [None; VERIFY_BATCH];
-    let mut tags = [MacTag(0); VERIFY_BATCH];
+    let mut body = [0u8; CACHELINE_BYTES];
     let mut computed = 0;
-    loop {
-        let mut count = 0;
-        while count < VERIFY_BATCH {
-            let Some(item) = items.next() else { break };
-            if let Some((addr, counter, stored)) = gather(item, &mut bodies[count]) {
-                keys[count] = (addr, counter);
-                expect[count] = Some((item, stored));
-                count += 1;
-            }
-        }
-        let inputs: [(u64, u64, &[u8; CACHELINE_BYTES]); VERIFY_BATCH] =
-            core::array::from_fn(|i| (keys[i].0, keys[i].1, &bodies[i]));
-        key.mac_lines_into(&inputs[..count], &mut tags[..count]);
-        computed += count as u64;
-        for (tag, &(item, stored)) in tags.iter().zip(expect.iter().flatten()).take(count) {
-            if stored != Some(tag.0) {
-                return (computed, Err(item));
-            }
-        }
-        if count < VERIFY_BATCH {
-            return (computed, Ok(()));
+    for item in items {
+        let Some((addr, counter, stored)) = gather(item, &mut body) else {
+            continue;
+        };
+        computed += 1;
+        if stored != Some(key.mac_line(addr, counter, &body).0) {
+            return (computed, Err(item));
         }
     }
+    (computed, Ok(()))
 }
 
 /// Sorted, deduplicated copy of a requested line set.
@@ -239,12 +215,12 @@ impl<'m> VerifyPlan<'m> {
         let key = &mem.mac_key;
         let (computed, outcome) = match self {
             VerifyPlan::Line(_, line) => {
-                mac_batches(key, line_checks(mem.geometry(), *line), gather)
+                mac_checks(key, line_checks(mem.geometry(), *line), gather)
             }
             VerifyPlan::Lines(_, data, ancestors) => {
-                mac_batches(key, listed_checks(data, ancestors), gather)
+                mac_checks(key, listed_checks(data, ancestors), gather)
             }
-            VerifyPlan::All(_) => mac_batches(key, all_checks(mem), gather),
+            VerifyPlan::All(_) => mac_checks(key, all_checks(mem), gather),
         };
         mem.charge(|ops| ops.mac_computes += computed);
         outcome.map_err(|check| match check {

@@ -283,9 +283,8 @@ impl MetadataEngine {
         // Chain-depth distribution: how far this miss had to walk before
         // hitting a cached ancestor (or the pinned root).
         self.stats.fetch_depths.record(fetched.len() as u64);
-        // The fetched chain is verified as one batched MAC group (the
-        // functional plane's `mac_lines`): count the group so
-        // `mac_ops / mac_batches` exposes the batch depth.
+        // The fetched chain reaches the crypto unit as one MAC group:
+        // count the group so `mac_ops / mac_batches` exposes its depth.
         if !fetched.is_empty() {
             self.stats.mac_batches += 1;
         }

@@ -129,9 +129,9 @@ pub struct EngineStats {
     /// per counter-line fetch-verify / writeback-recompute.
     pub mac_ops: u64,
     /// Batched MAC-verification groups: each cache-miss chain walk hands
-    /// its fetched lines to the crypto unit as one batch (the functional
-    /// plane's `mac_lines`), so `mac_ops / mac_batches` is the mean
-    /// batch depth the hardware pipeline sees.
+    /// its fetched lines to the crypto unit as one batch, so
+    /// `mac_ops / mac_batches` is the mean batch depth the hardware
+    /// pipeline sees.
     pub mac_batches: u64,
 }
 

@@ -32,9 +32,9 @@
 //! nothing extra), decodes every counter body under the level's configured
 //! organization, recomputes every counter-line MAC keyed by its parent's
 //! decoded counter (top keyed 0) and every data MAC under the level-0
-//! decoded counters through the functional plane's batched MAC runner
-//! (one [`MacKey::mac_lines_into`](morphtree_crypto::MacKey::mac_lines_into)
-//! call per chunk), and checks that the top entry hashes to the subtree's
+//! decoded counters through the functional plane's verification runner
+//! (one [`MacKey::mac_line`](morphtree_crypto::MacKey::mac_line) per
+//! entry), and checks that the top entry hashes to the subtree's
 //! root (the same FNV digest as [`SecureMemory::root_digest`]). The chain
 //! is closed: the root binds the top body, each body keys its children's
 //! MACs, and the level-0 bodies key the data MACs.
@@ -74,7 +74,7 @@ use crate::concurrent::ShardPlan;
 use crate::counters::{CounterLine, CounterOrg, Line};
 use crate::error::CodecError;
 use crate::functional::{
-    ancestors, canonical_lines, derive_mac_key, mac_batches, top_digest, SecureMemory,
+    ancestors, canonical_lines, derive_mac_key, mac_checks, top_digest, SecureMemory,
 };
 use crate::persist::codec::{read_to_checksum, write_checksum, ByteReader, ByteWriter, Header};
 use crate::persist::{read_config, write_config, RecoveryError, MAX_MEMORY_BYTES};
@@ -758,7 +758,7 @@ fn verify_subtree(sub: &Subtree, root: u64) -> Result<(ProofStats, Vec<u64>), Pr
         }
     };
     let key = derive_mac_key(sub.key);
-    let (mac_computes, outcome) = mac_batches(&key, 0..nodes + sub.data.len(), gather);
+    let (mac_computes, outcome) = mac_checks(&key, 0..nodes + sub.data.len(), gather);
     outcome.map_err(|i| match sub.nodes.get(i) {
         Some(node) => ProofError::NodeMacMismatch { level: node.level, line_idx: node.line_idx },
         None => ProofError::DataMacMismatch { line: sub.data[i - nodes].line },

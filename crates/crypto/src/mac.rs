@@ -100,22 +100,10 @@ impl MacKey {
         MacTag(sip_finalize(v))
     }
 
-    /// MACs a batch of lines — a whole fetched counter chain in one pass.
-    ///
-    /// Output is bit-identical to calling [`MacKey::mac_line`] per entry
-    /// (pinned by test); the batch form exists for throughput: lines are
-    /// processed in pairs with the two SipHash states interleaved round by
-    /// round, so the serial add-rotate-xor dependency chain of one state
-    /// overlaps the other's and fills the ALU ports a single chain leaves
-    /// idle.
-    pub fn mac_lines(&self, inputs: &[(u64, u64, &[u8; 64])]) -> Vec<MacTag> {
-        let mut out = vec![MacTag(0); inputs.len()];
-        self.mac_lines_into(inputs, &mut out);
-        out
-    }
-
-    /// [`MacKey::mac_lines`] writing into a caller-provided slice, for hot
-    /// paths that reuse one tag buffer across batches.
+    /// MACs a batch of lines into a caller-provided slice: one
+    /// [`MacKey::mac_line`] per entry. Its one caller is the shadow tree
+    /// of the `morphtree-benchmark` package; it goes with that shadow
+    /// (ROADMAP item 10).
     ///
     /// # Panics
     ///
@@ -126,22 +114,8 @@ impl MacKey {
             out.len(),
             "tag buffer must match the batch length"
         );
-        let mut pairs = inputs.chunks_exact(2);
-        let mut tags = out.chunks_exact_mut(2);
-        for (pair, tag_pair) in (&mut pairs).zip(&mut tags) {
-            let wa = line_words(pair[0].0, pair[0].1, pair[0].2);
-            let wb = line_words(pair[1].0, pair[1].1, pair[1].2);
-            let mut va = sip_init(self.k0, self.k1);
-            let mut vb = sip_init(self.k0, self.k1);
-            for (&a, &b) in wa.iter().zip(&wb) {
-                sip_absorb2(&mut va, a, &mut vb, b);
-            }
-            sip_absorb2(&mut va, LINE_LEN_BLOCK, &mut vb, LINE_LEN_BLOCK);
-            tag_pair[0] = MacTag(sip_finalize(va));
-            tag_pair[1] = MacTag(sip_finalize(vb));
-        }
-        if let ([(addr, ctr, data)], [tag]) = (pairs.remainder(), tags.into_remainder()) {
-            *tag = self.mac_line(*addr, *ctr, data);
+        for (&(addr, ctr, data), tag) in inputs.iter().zip(out) {
+            *tag = self.mac_line(addr, ctr, data);
         }
     }
 }
@@ -197,21 +171,6 @@ fn sip_absorb(v: &mut [u64; 4], m: u64) {
     sip_round(v);
     sip_round(v);
     v[0] ^= m;
-}
-
-/// Absorbs one word into each of two independent states with the round
-/// bodies interleaved, so the two serial ARX chains overlap in the
-/// pipeline. Equivalent to two [`sip_absorb`] calls.
-#[inline]
-fn sip_absorb2(va: &mut [u64; 4], ma: u64, vb: &mut [u64; 4], mb: u64) {
-    va[3] ^= ma;
-    vb[3] ^= mb;
-    sip_round(va);
-    sip_round(vb);
-    sip_round(va);
-    sip_round(vb);
-    va[0] ^= ma;
-    vb[0] ^= mb;
 }
 
 /// Finalization: 4 rounds over the xored state.
@@ -313,12 +272,11 @@ mod tests {
                 )
             })
             .collect();
-        // Odd and even batch lengths exercise both the paired loop and the
-        // single-line remainder.
         for len in [0usize, 1, 2, 3, 6, 7] {
             let inputs: Vec<(u64, u64, &[u8; 64])> =
                 lines[..len].iter().map(|(a, c, d)| (*a, *c, d)).collect();
-            let batch = key.mac_lines(&inputs);
+            let mut batch = vec![MacTag(0); len];
+            key.mac_lines_into(&inputs, &mut batch);
             let individual: Vec<MacTag> = lines[..len]
                 .iter()
                 .map(|(a, c, d)| key.mac_line(*a, *c, d))
